@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .circuit import (
     Circuit,
-    InducedTree,
     LeafNode,
     ProductXNode,
     ProductYNode,
@@ -14,9 +13,7 @@ from .circuit import (
     SumNode,
     TREE_ENUM_CAP,
     build,
-    build_sumgp,
     count_induced_trees,
-    enumerate_induced_trees,
     validate,
 )
 from .data_pipeline import (
@@ -44,14 +41,10 @@ from .gp_leaf import (
     KernelHyperparams,
     cross_gram,
     gram_matrix,
-    matern32,
 )
 from .inference import (
-    PredictiveMoments,
     compute_evidence,
-    log_predictive_density,
     log_predictive_density_batch,
-    predict,
     predict_batch,
     renormalize,
 )
@@ -61,7 +54,6 @@ from .training import TrainConfig, TrainReport, init_hyperparams, train
 
 __all__ = [
     "Circuit",
-    "InducedTree",
     "LeafNode",
     "ProductXNode",
     "ProductYNode",
@@ -70,9 +62,7 @@ __all__ = [
     "SumNode",
     "TREE_ENUM_CAP",
     "build",
-    "build_sumgp",
     "count_induced_trees",
-    "enumerate_induced_trees",
     "validate",
     "Dataset",
     "PcaTransform",
@@ -94,12 +84,8 @@ __all__ = [
     "KernelHyperparams",
     "cross_gram",
     "gram_matrix",
-    "matern32",
-    "PredictiveMoments",
     "compute_evidence",
-    "log_predictive_density",
     "log_predictive_density_batch",
-    "predict",
     "predict_batch",
     "renormalize",
     "EvalResult",

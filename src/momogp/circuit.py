@@ -21,17 +21,16 @@ output scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .data_pipeline import Dataset
-from .errors import CapacityError
 from .gp_leaf import GpLeaf, KernelHyperparams
 
-# hard ceiling on induced-tree enumeration
+# hard ceiling on the induced trees an exact mixture density may sum over
 TREE_ENUM_CAP = 10**6
 
 
@@ -64,10 +63,6 @@ class Region:
     def n_dims(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        return bool(np.all(x >= self.lower) and np.all(x < self.upper))
-
     def contains_rows(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.all(x >= self.lower, axis=1) & np.all(x < self.upper, axis=1)
@@ -78,10 +73,6 @@ class Region:
         lower[dim] = lo
         upper[dim] = hi
         return Region(lower, upper)
-
-    def clamp_rows(self, x: np.ndarray) -> np.ndarray:
-        """Project rows into the box (used once, at the root, before routing)."""
-        return np.clip(x, self.lower, self.upper)
 
     def same_as(self, other: "Region") -> bool:
         return np.array_equal(self.lower, other.lower) and np.array_equal(
@@ -109,24 +100,16 @@ class StructureConfig:
     quantile_mode: str = "data"
 
     def validate(self):
-        for name in ("k_sum", "k_prod_x", "k_prod_y", "leaf_threshold"):
+        for name, low in (
+            ("k_sum", 1), ("k_prod_x", 1), ("k_prod_y", 1), ("leaf_threshold", 1), ("rng_seed", 0)
+        ):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.quantile_mode not in ("data", "interval"):
             raise ValueError(
                 f"quantile_mode must be 'data' or 'interval', got {self.quantile_mode!r}"
             )
-
-    def copy(self) -> "StructureConfig":
-        return StructureConfig(
-            self.k_sum,
-            self.k_prod_x,
-            self.k_prod_y,
-            self.leaf_threshold,
-            self.rng_seed,
-            self.quantile_mode,
-        )
 
 
 @dataclass
@@ -181,7 +164,6 @@ class Circuit:
     n_outputs: int
     n_dims: int
     config: StructureConfig
-    structure_kind: str = "momogp"
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -236,13 +218,12 @@ _DEFAULT_LOG_NOISE = math.log(0.1)
 
 
 class _Builder:
-    """Recursive construction state. ``mode`` "sumgp" skips covariate splits."""
+    """Recursive construction state."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, cfg: StructureConfig, mode: str):
+    def __init__(self, x: np.ndarray, y: np.ndarray, cfg: StructureConfig):
         self.x = x
         self.y = y
         self.cfg = cfg
-        self.mode = mode
         self.nodes: list = []
         self.y_stream = 0  # deterministic per-partition RNG stream counter
 
@@ -252,17 +233,13 @@ class _Builder:
 
     def build_sum(self, region: Region, rows: np.ndarray, scope: frozenset) -> int:
         cfg = self.cfg
-        children = []
-        if self.mode == "sumgp":
-            for _ in range(cfg.k_sum):
-                children.append(self.build_prod_y(region, rows, scope, False))
-        else:
-            variances = self.x[rows].var(axis=0)
-            # stable sort on the negated values: ties resolve to the lower index
-            order = np.argsort(-variances, kind="stable")
-            for k in range(cfg.k_sum):
-                dim = int(order[k % self.x.shape[1]])
-                children.append(self.build_prod_x(region, rows, scope, dim))
+        variances = self.x[rows].var(axis=0)
+        # stable sort on the negated values: ties resolve to the lower index
+        order = np.argsort(-variances, kind="stable")
+        children = [
+            self.build_prod_x(region, rows, scope, int(order[k % self.x.shape[1]]))
+            for k in range(cfg.k_sum)
+        ]
         log_w = np.full(cfg.k_sum, -math.log(cfg.k_sum))
         return self.add(SumNode(children, log_w, scope, region, int(rows.size)))
 
@@ -329,8 +306,7 @@ class _Builder:
         # recursing must make progress: either the scope actually splits
         # (at least two parts) or covariate splits are still possible
         recurse = rows.size > cfg.leaf_threshold and (
-            min(cfg.k_prod_y, len(scope)) > 1
-            or (can_split_x and self.mode != "sumgp")
+            min(cfg.k_prod_y, len(scope)) > 1 or can_split_x
         )
         if recurse:
             k_parts = min(cfg.k_prod_y, len(scope))
@@ -375,29 +351,20 @@ def _checked_training_data(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build(data: Dataset, cfg: StructureConfig) -> Circuit:
-    """Build the mixture circuit for ``data``; leaves are left unfitted."""
+    """Build the mixture circuit for ``data``; leaves are left unfitted.
+
+    ``k_prod_x=1`` gives the ablation without covariate splits, in
+    which every leaf holds all observations.
+    """
     cfg.validate()
     x, y = _checked_training_data(data)
-    builder = _Builder(x, y, cfg, mode="momogp")
+    builder = _Builder(x, y, cfg)
     root = builder.build_sum(
         Region.unbounded(x.shape[1]),
         np.arange(x.shape[0], dtype=np.int64),
         frozenset(range(y.shape[1])),
     )
-    return Circuit(builder.nodes, root, y.shape[1], x.shape[1], cfg.copy(), "momogp")
-
-
-def build_sumgp(data: Dataset, cfg: StructureConfig) -> Circuit:
-    """Ablation structure with no covariate splits: every leaf holds all observations."""
-    cfg.validate()
-    x, y = _checked_training_data(data)
-    builder = _Builder(x, y, cfg, mode="sumgp")
-    root = builder.build_sum(
-        Region.unbounded(x.shape[1]),
-        np.arange(x.shape[0], dtype=np.int64),
-        frozenset(range(y.shape[1])),
-    )
-    return Circuit(builder.nodes, root, y.shape[1], x.shape[1], cfg.copy(), "sumgp")
+    return Circuit(builder.nodes, root, y.shape[1], x.shape[1], replace(cfg))
 
 
 def _check_sum(circuit: Circuit, i: int, node: SumNode, problems: list[str]):
@@ -532,45 +499,3 @@ def count_induced_trees(circuit: Circuit) -> int:
                 total *= counts[c]
             counts[node_id] = total
     return counts[circuit.root]
-
-
-@dataclass
-class InducedTree:
-    """One selection of a single child per sum node."""
-
-    log_prior: float
-    leaf_ids: tuple[int, ...]
-
-
-def enumerate_induced_trees(circuit: Circuit, cap: int = TREE_ENUM_CAP) -> list[InducedTree]:
-    """All induced trees with their accumulated log edge weights.
-
-    Refuses to enumerate more than ``cap`` trees.
-    """
-    total = count_induced_trees(circuit)
-    if total > cap:
-        raise CapacityError(
-            f"circuit induces {total} trees, above the enumeration cap {cap}"
-        )
-    table: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
-    for node_id in circuit.topo_order():
-        node = circuit.nodes[node_id]
-        if isinstance(node, LeafNode):
-            table[node_id] = [(0.0, (node_id,))]
-        elif isinstance(node, SumNode):
-            entries = []
-            for log_w, child in zip(node.log_weights, node.children):
-                entries.extend(
-                    (float(log_w) + lp, leaves) for lp, leaves in table[child]
-                )
-            table[node_id] = entries
-        else:
-            entries = [(0.0, ())]
-            for child in node.children:
-                entries = [
-                    (lp + lp_c, leaves + leaves_c)
-                    for lp, leaves in entries
-                    for lp_c, leaves_c in table[child]
-                ]
-            table[node_id] = entries
-    return [InducedTree(lp, leaves) for lp, leaves in table[circuit.root]]

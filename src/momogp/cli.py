@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .circuit import (
     StructureConfig,
     TREE_ENUM_CAP,
     build,
-    build_sumgp,
     count_induced_trees,
     validate,
 )
@@ -76,41 +75,6 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 EXIT_CAPACITY = 5
 
-_STRUCTURE_KEYS = (
-    "k_sum",
-    "k_prod_x",
-    "k_prod_y",
-    "leaf_threshold",
-    "rng_seed",
-    "quantile_mode",
-)
-_TRAINING_KEYS = (
-    "learning_rate",
-    "max_epochs",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_epsilon",
-    "early_stop_rel_tol",
-    "early_stop_patience",
-    "init_gamma_shape",
-    "init_gamma_rate",
-    "gamma_parameterization",
-    "init_signal_variance",
-    "init_noise_variance",
-    "rng_seed",
-)
-_PIPELINE_KEYS = (
-    "n_outputs",
-    "structure_kind",
-    "standardize",
-    "pca_dims",
-    "test_fraction",
-    "split_seed",
-    "nlpd_mode",
-    "threads",
-)
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs: structure, training and pipeline settings."""
@@ -118,7 +82,6 @@ class RunConfig:
     structure: StructureConfig = field(default_factory=StructureConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     n_outputs: Optional[int] = None
-    structure_kind: str = "momogp"
     standardize: bool = True
     pca_dims: Optional[int] = None
     test_fraction: float = 0.0
@@ -129,10 +92,6 @@ class RunConfig:
     def validate(self):
         self.structure.validate()
         self.training.validate()
-        if self.structure_kind not in ("momogp", "sumgp"):
-            raise SchemaError(
-                f"structure_kind must be momogp or sumgp, got {self.structure_kind!r}"
-            )
         if self.nlpd_mode not in NLPD_MODES + ("both",):
             raise SchemaError(f"nlpd_mode must be one of {NLPD_MODES + ('both',)}")
         if self.n_outputs is not None and self.n_outputs < 1:
@@ -147,13 +106,19 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
-            "structure": {key: getattr(self.structure, key) for key in _STRUCTURE_KEYS},
-            "training": {key: getattr(self.training, key) for key in _TRAINING_KEYS},
-            "pipeline": {key: getattr(self, key) for key in _PIPELINE_KEYS},
+            "structure": asdict(self.structure),
+            "training": asdict(self.training),
+            "pipeline": {key: getattr(self, key) for key in _section_keys(self)},
         }
 
 
-def _apply_section(target, section: dict, allowed: tuple, label: str):
+def _section_keys(target) -> list[str]:
+    """The settable keys of a config section: the dataclass fields, minus nested sections."""
+    return [f.name for f in fields(target) if f.name not in ("structure", "training")]
+
+
+def _apply_section(target, section: dict, label: str):
+    allowed = _section_keys(target)
     for key, value in section.items():
         if key not in allowed:
             raise SchemaError(f"unknown config key {label}.{key}")
@@ -177,9 +142,9 @@ def load_run_config(path: Optional[str]) -> RunConfig:
     for section in obj:
         if section not in ("schema_version", "structure", "training", "pipeline"):
             raise SchemaError(f"{path}: unknown config section {section!r}")
-    _apply_section(cfg.structure, obj.get("structure", {}), _STRUCTURE_KEYS, "structure")
-    _apply_section(cfg.training, obj.get("training", {}), _TRAINING_KEYS, "training")
-    _apply_section(cfg, obj.get("pipeline", {}), _PIPELINE_KEYS, "pipeline")
+    for section in ("structure", "training"):
+        _apply_section(getattr(cfg, section), obj.get(section, {}), section)
+    _apply_section(cfg, obj.get("pipeline", {}), "pipeline")
     return cfg
 
 
@@ -190,8 +155,6 @@ def _merge_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.split_seed = args.seed
     if getattr(args, "threads", None) is not None:
         cfg.threads = args.threads
-    if getattr(args, "structure_kind", None) is not None:
-        cfg.structure_kind = args.structure_kind
     if getattr(args, "nlpd_mode", None) is not None:
         cfg.nlpd_mode = args.nlpd_mode
     if getattr(args, "n_outputs", None) is not None:
@@ -258,8 +221,7 @@ def cmd_train(args) -> int:
     if cfg.test_fraction > 0.0:
         data, holdout = split(data, cfg.test_fraction, cfg.split_seed)
     work, transforms = _fit_pipeline(data, cfg)
-    builder = build_sumgp if cfg.structure_kind == "sumgp" else build
-    circuit = builder(work, cfg.structure)
+    circuit = build(work, cfg.structure)
     problems = validate(circuit)
     if problems:
         raise NumericalError(f"built circuit failed validation: {problems[0]}")
@@ -298,18 +260,22 @@ def cmd_evaluate(args) -> int:
         raise SchemaError(
             f"test data has {data.n_dims} covariate columns, model expects {expected}"
         )
+    mode = cfg.nlpd_mode
+    # refuse before the moment pass, which costs far more than the count
+    if mode in ("exact_mixture", "both"):
+        n_trees = count_induced_trees(circuit)
+        if n_trees > TREE_ENUM_CAP:
+            raise CapacityError(
+                f"exact NLPD requested but the circuit induces {n_trees} trees, "
+                f"above the cap {TREE_ENUM_CAP}"
+            )
     x = bundle.transforms.transform_x(data.x)
     y_model_space = bundle.transforms.transform_y(data.y)
     means, _ = predict_batch(circuit, x)
 
-    mode = cfg.nlpd_mode
     exact_extra = None
     if mode == "both":
         mode = "moment_matched"
-        if count_induced_trees(circuit) > TREE_ENUM_CAP:
-            raise CapacityError(
-                "exact NLPD requested but the circuit exceeds the induced-tree cap"
-            )
         exact_extra = "exact_mixture"
 
     if args.unstandardized_metrics and bundle.transforms.standardization is not None:
@@ -386,8 +352,7 @@ def cmd_upsample(args) -> int:
     img = read_ppm(args.in_ppm)
     data = image_to_dataset(img)
     work, transforms = _fit_pipeline(data, cfg)
-    builder = build_sumgp if cfg.structure_kind == "sumgp" else build
-    circuit = builder(work, cfg.structure)
+    circuit = build(work, cfg.structure)
     _echo_config(cfg)
     circuit, report = train(circuit, work, cfg.training, threads=cfg.threads)
     print(f"training report: {json.dumps(report.to_dict(), sort_keys=True)}")
@@ -432,12 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override all RNG seeds")
         p.add_argument("--threads", type=int, help="worker threads for leaf fits")
-        p.add_argument(
-            "--structure",
-            dest="structure_kind",
-            choices=("momogp", "sumgp"),
-            help="structure family",
-        )
 
     p_train = sub.add_parser("train", help="fit a model from a CSV")
     common(p_train)

@@ -106,34 +106,9 @@ class KernelHyperparams:
             )
         return cls(vec[:n_dims].copy(), float(vec[n_dims]), float(vec[n_dims + 1]))
 
-    def copy(self) -> "KernelHyperparams":
-        return KernelHyperparams(
-            self.log_lengthscales.copy(),
-            self.log_signal_variance,
-            self.log_noise_variance,
-        )
-
 
 def _scaled(x: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
     return np.ascontiguousarray(x / hyper.lengthscales, dtype=float)
-
-
-def matern32(x: np.ndarray, x2: np.ndarray, hyper: KernelHyperparams) -> float:
-    """Matern-3/2 kernel between two points.
-
-    k(x, x') = sigma_f^2 (1 + sqrt(3) r) exp(-sqrt(3) r) with
-    r the Euclidean distance after dividing each dimension by its
-    lengthscale.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape or x.shape[0] != hyper.n_dims:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, x2 {x2.shape}, "
-            f"hyperparams expect {hyper.n_dims} dims"
-        )
-    r = math.sqrt(float(np.sum(((x - x2) / hyper.lengthscales) ** 2)))
-    return hyper.signal_variance * (1.0 + _SQRT3 * r) * math.exp(-_SQRT3 * r)
 
 
 def _check_matrix(x: np.ndarray, hyper: KernelHyperparams, name: str) -> np.ndarray:

@@ -20,7 +20,6 @@ Gaussian with the law-of-total-(co)variance correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -68,19 +67,6 @@ def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
             log_w = node.log_weights + z[node.children] - z[node_id]
             node.log_weights = log_w - logsumexp(log_w)
     return float(z[circuit.root])
-
-
-@dataclass
-class PredictiveMoments:
-    """First two moments of the predictive distribution at one point."""
-
-    mean: np.ndarray  # (P,)
-    covariance: np.ndarray  # (P, P)
-
-    def is_psd(self, tol: float = 1e-8) -> bool:
-        eigvals = np.linalg.eigvalsh(self.covariance)
-        scale = max(float(np.trace(self.covariance)), 1.0)
-        return bool(eigvals.min() >= -tol * scale)
 
 
 def _route(node: ProductXNode, x: np.ndarray) -> np.ndarray:
@@ -168,8 +154,7 @@ def _checked_inputs(circuit: Circuit, x: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("query points must be finite")
-    root_region = circuit.nodes[circuit.root].region
-    return root_region.clamp_rows(x)
+    return x
 
 
 def predict_batch(
@@ -187,20 +172,6 @@ def predict_batch(
     """
     x = _checked_inputs(circuit, x)
     return _moments(circuit, circuit.root, x, include_noise, cross_covariance)
-
-
-def predict(
-    circuit: Circuit,
-    x_star: np.ndarray,
-    include_noise: bool = True,
-    cross_covariance: bool = True,
-) -> PredictiveMoments:
-    """Predictive moments at a single point."""
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    means, covs = predict_batch(
-        circuit, x_star[None, :], include_noise, cross_covariance
-    )
-    return PredictiveMoments(means[0], covs[0])
 
 
 def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -302,19 +273,3 @@ def log_predictive_density_batch(
             f"exact mixture density over {n_trees} induced trees exceeds the cap {tree_cap}"
         )
     return _log_density_exact(circuit, circuit.root, x, y)
-
-
-def log_predictive_density(
-    circuit: Circuit,
-    x_star: np.ndarray,
-    y_star: np.ndarray,
-    mode: str = "moment_matched",
-    cross_covariance: bool = True,
-) -> float:
-    """Log predictive density of a single (x, y) pair."""
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    y_star = np.asarray(y_star, dtype=float).ravel()
-    values = log_predictive_density_batch(
-        circuit, x_star[None, :], y_star[None, :], mode, cross_covariance
-    )
-    return float(values[0])

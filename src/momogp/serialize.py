@@ -19,7 +19,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -41,15 +41,15 @@ SCHEMA_VERSION = 1
 _MODEL_KIND = "momogp_model"
 
 
-def _bound_list(values: np.ndarray, sign: float) -> list:
+def _bound_list(values: np.ndarray) -> list:
     # infinities become JSON null; the field (lower/upper) fixes the sign
     return [None if math.isinf(v) else float(v) for v in values]
 
 
 def _region_to_json(region: Region) -> dict:
     return {
-        "lower": _bound_list(region.lower, -1.0),
-        "upper": _bound_list(region.upper, 1.0),
+        "lower": _bound_list(region.lower),
+        "upper": _bound_list(region.upper),
     }
 
 
@@ -141,6 +141,8 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
             float(hp["log_noise_variance"]),
         )
         output = int(obj["output"])
+        if not 0 <= output < y.shape[1]:
+            raise SchemaError(f"leaf output {output} outside [0, {y.shape[1]})")
         leaf = GpLeaf(
             scope_output=output,
             train_x=x[rows],
@@ -197,26 +199,23 @@ def _transforms_from_json(obj: dict) -> PipelineTransforms:
     return PipelineTransforms(std, pca)
 
 
-def _structure_config_to_json(cfg: StructureConfig) -> dict:
-    return {
-        "k_sum": cfg.k_sum,
-        "k_prod_x": cfg.k_prod_x,
-        "k_prod_y": cfg.k_prod_y,
-        "leaf_threshold": cfg.leaf_threshold,
-        "rng_seed": cfg.rng_seed,
-        "quantile_mode": cfg.quantile_mode,
-    }
+def _check_links(circuit: Circuit):
+    """The checks prediction relies on, in one pass over the node array.
 
-
-def _structure_config_from_json(obj: dict) -> StructureConfig:
-    return StructureConfig(
-        int(obj["k_sum"]),
-        int(obj["k_prod_x"]),
-        int(obj["k_prod_y"]),
-        int(obj["leaf_threshold"]),
-        int(obj["rng_seed"]),
-        str(obj["quantile_mode"]),
-    )
+    Children come before their parents (the builder adds them first),
+    which also rules out cycles; sum weights are normalized.
+    """
+    if not 0 <= circuit.root < len(circuit.nodes):
+        raise SchemaError(f"root id {circuit.root} outside the node array")
+    for i, node in enumerate(circuit.nodes):
+        if isinstance(node, LeafNode):
+            continue
+        if not all(0 <= c < i for c in node.children):
+            raise SchemaError(f"node {i}: child ids must lie in [0, {i})")
+        if isinstance(node, SumNode):
+            residual = float(np.logaddexp.reduce(node.log_weights))
+            if not (np.all(np.isfinite(node.log_weights)) and abs(residual) <= 1e-12):
+                raise SchemaError(f"node {i}: sum weights are not normalized")
 
 
 @dataclass
@@ -242,11 +241,10 @@ def model_to_dict(
     return {
         "kind": _MODEL_KIND,
         "schema_version": SCHEMA_VERSION,
-        "structure_kind": circuit.structure_kind,
         "n_outputs": circuit.n_outputs,
         "n_dims": circuit.n_dims,
         "root": circuit.root,
-        "structure_config": _structure_config_to_json(circuit.config),
+        "structure_config": asdict(circuit.config),
         "nodes": [_node_to_json(node) for node in circuit.nodes],
         "data": {
             "x": [[float(v) for v in row] for row in x],
@@ -272,19 +270,25 @@ def model_from_dict(obj: dict) -> ModelBundle:
     try:
         x = np.asarray(obj["data"]["x"], dtype=float)
         y = np.asarray(obj["data"]["y"], dtype=float)
-        if x.ndim != 2:
-            raise SchemaError("stored x must be a 2-d array")
+        if x.ndim != 2 or x.shape[1] != int(obj["n_dims"]):
+            raise SchemaError("stored x must be a 2-d array with n_dims columns")
         if y.ndim == 1:
             y = y.reshape(x.shape[0], -1)
+        if y.shape != (x.shape[0], int(obj["n_outputs"])):
+            raise SchemaError("stored y must have one row per x row and n_outputs columns")
+        config = StructureConfig(
+            **{f.name: obj["structure_config"][f.name] for f in fields(StructureConfig)}
+        )
+        config.validate()
         nodes = [_node_from_json(n, x, y) for n in obj["nodes"]]
         circuit = Circuit(
             nodes=nodes,
             root=int(obj["root"]),
-            n_outputs=int(obj["n_outputs"]),
-            n_dims=int(obj["n_dims"]),
-            config=_structure_config_from_json(obj["structure_config"]),
-            structure_kind=str(obj.get("structure_kind", "momogp")),
+            n_outputs=y.shape[1],
+            n_dims=x.shape[1],
+            config=config,
         )
+        _check_links(circuit)
         transforms = _transforms_from_json(obj.get("transforms") or {})
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None

@@ -37,9 +37,8 @@ class TrainConfig:
     early_stop_rel_tol: float = 1e-5
     early_stop_patience: int = 10
     init_gamma_shape: float = 2.0
+    # lengthscales ~ Gamma(shape, rate), i.e. scale = 1 / init_gamma_rate
     init_gamma_rate: float = 3.0
-    # "rate" reads init_gamma_rate as a rate (scale = 1/rate); "scale" reads it as the scale
-    gamma_parameterization: str = "rate"
     init_signal_variance: float = 1.0
     init_noise_variance: float = 0.1
     rng_seed: int = 0
@@ -59,11 +58,6 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1")
         if self.init_gamma_shape <= 0 or self.init_gamma_rate <= 0:
             raise ValueError("gamma init parameters must be > 0")
-        if self.gamma_parameterization not in ("rate", "scale"):
-            raise ValueError(
-                f"gamma_parameterization must be 'rate' or 'scale', "
-                f"got {self.gamma_parameterization!r}"
-            )
         if self.init_signal_variance <= 0 or self.init_noise_variance <= 0:
             raise ValueError("initial variances must be > 0")
 
@@ -72,7 +66,6 @@ class TrainConfig:
 class TrainReport:
     leaf_count: int
     epochs_run: int
-    per_leaf_epochs: list[int]
     initial_total_mll: float
     final_total_mll: float
     final_root_log_evidence: float
@@ -97,10 +90,7 @@ def init_hyperparams(
     """Seeded initial kernel parameters, one independent stream per leaf slot."""
     if leaf_count < 0 or n_dims < 1:
         raise ValueError("leaf_count must be >= 0 and n_dims >= 1")
-    if cfg.gamma_parameterization == "rate":
-        scale = 1.0 / cfg.init_gamma_rate
-    else:
-        scale = cfg.init_gamma_rate
+    scale = 1.0 / cfg.init_gamma_rate
     log_sf2 = math.log(cfg.init_signal_variance)
     log_noise = math.log(cfg.init_noise_variance)
     out = []
@@ -228,7 +218,6 @@ def train(
     report = TrainReport(
         leaf_count=n_leaves,
         epochs_run=epochs,
-        per_leaf_epochs=[epochs] * n_leaves,
         initial_total_mll=initial_total,
         final_total_mll=best_total,
         final_root_log_evidence=root_log_evidence,

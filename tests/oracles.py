@@ -7,6 +7,7 @@ Agreement between these and the fast paths is what the tests assert.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -19,7 +20,6 @@ from momogp.circuit import (
     StructureConfig,
     SumNode,
     build,
-    build_sumgp,
     count_induced_trees,
 )
 from momogp.data_pipeline import Dataset
@@ -227,8 +227,9 @@ def random_circuit(rng: np.random.Generator, max_trees: int = 64) -> Circuit:
             leaf_threshold=int(rng.integers(5, 20)),
             rng_seed=int(rng.integers(0, 10_000)),
         )
-        kind = build_sumgp if rng.random() < 0.25 else build
-        circuit = kind(data, cfg)
+        if rng.random() < 0.25:
+            cfg = replace(cfg, k_prod_x=1)  # no covariate splits
+        circuit = build(data, cfg)
         if count_induced_trees(circuit) <= max_trees:
             break
     for _, node in circuit.leaves():

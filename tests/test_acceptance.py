@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.special import logsumexp
 
 import oracles
 from conftest import record_criterion, record_criterion_skip
-from momogp.circuit import StructureConfig, SumNode, build, build_sumgp, validate
+from momogp.circuit import StructureConfig, SumNode, build, validate
 from momogp.cli import main as cli_main
 from momogp.data_pipeline import (
     Dataset,
@@ -255,8 +256,9 @@ def test_structural_invariants():
             leaf_threshold=int(rng.integers(8, 26)),
             rng_seed=i,
         )
-        builder = build_sumgp if rng.random() < 0.2 else build
-        circuit = builder(data, cfg)
+        if rng.random() < 0.2:
+            cfg = replace(cfg, k_prod_x=1)  # no covariate splits
+        circuit = build(data, cfg)
         n_problems += len(validate(circuit))
         circuit, _ = train(circuit, data, TrainConfig(max_epochs=1, rng_seed=i))
         for node in circuit.nodes:

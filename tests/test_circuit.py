@@ -12,13 +12,12 @@ from momogp.circuit import (
     StructureConfig,
     SumNode,
     build,
-    build_sumgp,
     count_induced_trees,
-    enumerate_induced_trees,
     validate,
 )
 from momogp.data_pipeline import Dataset
 from momogp.errors import CapacityError
+from momogp.inference import log_predictive_density_batch
 
 
 def make_data(seed, n=120, d=3, p=2):
@@ -33,17 +32,15 @@ def make_data(seed, n=120, d=3, p=2):
 
 def test_region_half_open_edges():
     r = Region([0.0], [1.0])
-    assert r.contains([0.0])
-    assert not r.contains([1.0])
     inside = r.contains_rows(np.array([[-0.1], [0.0], [0.5], [1.0]]))
     assert inside.tolist() == [False, True, True, False]
 
 
 def test_region_unbounded_covers_everything():
     r = Region.unbounded(2)
-    assert r.contains([1e30, -1e30])
+    assert r.contains_rows(np.array([[1e30, -1e30]])).tolist() == [True]
     sub = r.with_interval(1, -1.0, 2.0)
-    assert sub.contains([5.0, 1.9]) and not sub.contains([5.0, 2.0])
+    assert sub.contains_rows(np.array([[5.0, 1.9], [5.0, 2.0]])).tolist() == [True, False]
 
 
 def test_region_validation():
@@ -53,12 +50,6 @@ def test_region_validation():
         Region([np.nan], [1.0])
     with pytest.raises(ValueError):
         Region([0.0, 0.0], [1.0])
-
-
-def test_region_clamp_rows():
-    r = Region([0.0, -np.inf], [1.0, np.inf])
-    out = r.clamp_rows(np.array([[-3.0, 7.0], [0.5, -2.0]]))
-    np.testing.assert_array_equal(out, [[0.0, 7.0], [0.5, -2.0]])
 
 
 # -------------------------------------------------------------------- config
@@ -149,24 +140,14 @@ def test_different_seed_changes_output_partition():
 
 
 def test_k_prod_x_one_disables_covariate_splits():
-    data = make_data(5, n=80, p=1)
-    circuit = build(data, StructureConfig(k_prod_x=1, leaf_threshold=10, rng_seed=0))
-    assert validate(circuit) == []
-    kinds = {type(n).__name__ for n in circuit.nodes}
-    assert "ProductXNode" not in kinds
-    # single output and no usable split left: every leaf keeps all rows
-    for _, node in circuit.leaves():
-        assert node.leaf.n_train == data.n_rows
-
-
-def test_sumgp_leaves_hold_all_rows():
-    data = make_data(6, n=70)
-    circuit = build_sumgp(data, StructureConfig(k_sum=3, leaf_threshold=10, rng_seed=0))
-    assert validate(circuit) == []
-    assert circuit.structure_kind == "sumgp"
-    assert all(not isinstance(n, ProductXNode) for n in circuit.nodes)
-    for _, node in circuit.leaves():
-        assert node.leaf.n_train == data.n_rows
+    for data, k_sum in ((make_data(5, n=80, p=1), 2), (make_data(6, n=70), 3)):
+        cfg = StructureConfig(k_sum=k_sum, k_prod_x=1, leaf_threshold=10, rng_seed=0)
+        circuit = build(data, cfg)
+        assert validate(circuit) == []
+        assert all(not isinstance(n, ProductXNode) for n in circuit.nodes)
+        # no covariate split: every leaf keeps all rows
+        for _, node in circuit.leaves():
+            assert node.leaf.n_train == data.n_rows
 
 
 def test_degenerate_duplicate_covariates_terminate():
@@ -238,7 +219,6 @@ def test_tree_count_matches_enumeration():
         count = count_induced_trees(circuit)
         assert isinstance(count, int)
         assert count == len(trees)
-        assert count == len(enumerate_induced_trees(circuit))
 
 
 def test_enumeration_cap_enforced():
@@ -246,15 +226,21 @@ def test_enumeration_cap_enforced():
     count = count_induced_trees(circuit)
     if count < 2:
         pytest.skip("degenerate draw with a single induced tree")
+    xq = np.zeros((1, circuit.n_dims))
+    yq = np.zeros((1, circuit.n_outputs))
+    # the exact mixture density sums over every induced tree; the cap is inclusive
+    log_predictive_density_batch(circuit, xq, yq, mode="exact_mixture", tree_cap=count)
     with pytest.raises(CapacityError):
-        enumerate_induced_trees(circuit, cap=count - 1)
+        log_predictive_density_batch(
+            circuit, xq, yq, mode="exact_mixture", tree_cap=count - 1
+        )
 
 
 def test_induced_tree_priors_sum_to_one():
     rng = np.random.default_rng(13)
     circuit = oracles.random_circuit(rng, max_trees=120)
-    trees = enumerate_induced_trees(circuit)
-    total = np.logaddexp.reduce([t.log_prior for t in trees])
+    trees = oracles.enumerate_trees(circuit)
+    total = np.logaddexp.reduce([log_prior for log_prior, _ in trees])
     assert total == pytest.approx(0.0, abs=1e-10)
 
 

@@ -134,15 +134,17 @@ def test_holdout_split_written_and_usable(tmp_path):
 
 
 def test_sumgp_structure_flag(tmp_path):
+    # the ablation without covariate splits is k_prod_x = 1
     csv_path = write_train_csv(tmp_path / "train.csv", n=40)
-    config = write_config(tmp_path / "cfg.json")
+    config = write_config(tmp_path / "cfg.json", structure={"k_prod_x": 1})
     model = tmp_path / "m.json"
-    assert run(
-        ["train", csv_path, "--config", config, "--out", model, "--structure", "sumgp"]
-    ) == 0
+    assert run(["train", csv_path, "--config", config, "--out", model]) == 0
     doc = json.loads(model.read_text())
-    assert doc["structure_kind"] == "sumgp"
+    assert doc["structure_config"]["k_prod_x"] == 1
     assert all(node["type"] != "product_x" for node in doc["nodes"])
+    assert all(
+        len(node["rows"]) == 40 for node in doc["nodes"] if node["type"] == "leaf"
+    )
 
 
 def test_evaluate_both_nlpd_modes(tmp_path, trained_model):
@@ -215,6 +217,17 @@ def test_unknown_config_section_is_invalid(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("pipeline", "structure_kind", "sumgp"), ("training", "gamma_parameterization", "rate")],
+)
+def test_removed_config_keys_are_invalid(tmp_path, capsys, section, key, value):
+    config = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+    csv_path = write_train_csv(tmp_path / "train.csv", n=20)
+    assert run(["train", csv_path, "--config", config, "--out", tmp_path / "m.json"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_missing_n_outputs_is_invalid(tmp_path, capsys):
     csv_path = write_train_csv(tmp_path / "train.csv", n=20)
     assert run(["train", csv_path, "--out", tmp_path / "m.json"]) == 2
@@ -227,6 +240,73 @@ def test_predict_column_mismatch_is_invalid(tmp_path, trained_model, capsys):
     assert code == 2
     assert "columns" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()  # no partial output
+
+
+def write_covariates(tmp_path, csv_path):
+    path = tmp_path / "q.csv"
+    with open(csv_path) as fh, open(path, "w", newline="") as out_fh:
+        csv.writer(out_fh).writerows(row[:2] for row in csv.reader(fh))
+    return path
+
+
+def test_model_with_removed_keys_predicts_bit_for_bit(tmp_path, trained_model):
+    # model files written before structure_kind was dropped still carry it
+    model, csv_path, _ = trained_model
+    doc = json.loads(model.read_text())
+    doc["structure_kind"] = "momogp"
+    doc["extras"]["effective_config"]["pipeline"]["structure_kind"] = "momogp"
+    doc["extras"]["effective_config"]["training"]["gamma_parameterization"] = "rate"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    covars = write_covariates(tmp_path, csv_path)
+    assert run(["predict", model, covars, "--out", tmp_path / "new.csv"]) == 0
+    assert run(["predict", old, covars, "--out", tmp_path / "old.csv"]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
+def corrupt(doc, corruption):
+    """Damage a model document in place; return a phrase the error must name."""
+    root = doc["root"]
+    inner = next(n for i, n in enumerate(doc["nodes"]) if "children" in n and i != root)
+    leaf = next(n for n in doc["nodes"] if n["type"] == "leaf")
+    if corruption == "child_cycle":
+        inner["children"][0] = root
+        return "child ids"
+    if corruption == "child_out_of_range":
+        inner["children"][0] = len(doc["nodes"]) + 5
+        return "child ids"
+    if corruption == "leaf_output_too_large":
+        leaf["output"] = 5
+        return "leaf output"
+    if corruption == "leaf_output_negative":
+        leaf["output"] = -1
+        return "leaf output"
+    doc["nodes"][root]["log_weights"] = [0.0, 0.0]  # unnormalized_root_weights
+    return "weights"
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        "child_cycle",
+        "child_out_of_range",
+        "leaf_output_too_large",
+        "leaf_output_negative",
+        "unnormalized_root_weights",
+    ],
+)
+def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corruption):
+    model, csv_path, _ = trained_model
+    doc = json.loads(model.read_text())
+    message = corrupt(doc, corruption)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    covars = write_covariates(tmp_path, csv_path)
+    capsys.readouterr()
+    assert run(["predict", bad, covars, "--out", tmp_path / "p.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid:") and message in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_exact_nlpd_over_capacity_is_exit_5(tmp_path, capsys):

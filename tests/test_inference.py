@@ -22,9 +22,7 @@ from momogp.errors import CapacityError, NotFittedError
 from momogp.gp_leaf import GpLeaf, KernelHyperparams
 from momogp.inference import (
     compute_evidence,
-    log_predictive_density,
     log_predictive_density_batch,
-    predict,
     predict_batch,
     renormalize,
 )
@@ -45,10 +43,16 @@ class StubLeaf:
 
 
 def manual_circuit(nodes, root, p=1, d=1):
-    return Circuit(nodes, root, p, d, StructureConfig(), "momogp")
+    return Circuit(nodes, root, p, d, StructureConfig())
+
+
+def is_psd(cov, tol=1e-8):
+    scale = max(float(np.trace(cov)), 1.0)
+    return bool(np.linalg.eigvalsh(cov).min() >= -tol * scale)
 
 
 R1 = Region.unbounded(1)
+X0 = np.array([[0.0]])
 
 
 # ------------------------------------------------------------------ evidence
@@ -112,9 +116,9 @@ def test_mixture_variance_two_components():
         SumNode([0, 1], np.log([0.5, 0.5]), frozenset([0]), R1, 2),
     ]
     circuit = manual_circuit(nodes, 2)
-    moments = predict(circuit, [0.0])
-    assert moments.mean[0] == pytest.approx(0.0, abs=1e-15)
-    assert moments.covariance[0, 0] == pytest.approx(2.0, rel=1e-14)
+    means, covs = predict_batch(circuit, X0)
+    assert means[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert covs[0, 0, 0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_mixture_cross_covariance_two_outputs():
@@ -134,17 +138,13 @@ def test_mixture_cross_covariance_two_outputs():
     nodes[5] = ProductYNode([3, 4], frozenset([0, 1]), R1, 1)
     nodes[6] = SumNode([2, 5], np.log([0.5, 0.5]), frozenset([0, 1]), R1, 2)
     circuit = manual_circuit(nodes, 6, p=2)
-    moments = predict(circuit, [0.0])
-    np.testing.assert_allclose(moments.mean, [0.5, 0.5], rtol=1e-14)
-    np.testing.assert_allclose(
-        moments.covariance, [[0.25, 0.25], [0.25, 0.25]], rtol=1e-14
-    )
-    assert moments.is_psd()
+    means, covs = predict_batch(circuit, X0)
+    np.testing.assert_allclose(means[0], [0.5, 0.5], rtol=1e-14)
+    np.testing.assert_allclose(covs[0], [[0.25, 0.25], [0.25, 0.25]], rtol=1e-14)
+    assert is_psd(covs[0])
     # ablation drops exactly the off-diagonal entries
-    ablated = predict(circuit, [0.0], cross_covariance=False)
-    np.testing.assert_allclose(
-        ablated.covariance, [[0.25, 0.0], [0.0, 0.25]], rtol=1e-14
-    )
+    _, ablated = predict_batch(circuit, X0, cross_covariance=False)
+    np.testing.assert_allclose(ablated[0], [[0.25, 0.0], [0.0, 0.25]], rtol=1e-14)
 
 
 def test_single_leaf_circuit_reduces_to_its_gp():
@@ -210,7 +210,8 @@ def test_predictive_covariances_are_psd():
         renormalize(circuit)
         xq = rng.normal(size=(5, circuit.n_dims))
         for row in range(5):
-            assert predict(circuit, xq[row]).is_psd()
+            _, covs = predict_batch(circuit, xq[row : row + 1])
+            assert is_psd(covs[0])
 
 
 def test_query_validation():
@@ -245,7 +246,7 @@ def test_routing_edges_go_right():
     np.testing.assert_array_equal(means[:, 0], [0.0, 1.0, 1.0, 2.0, 2.0])
     # routing agrees with half-open region membership
     for row, mean in zip(xq, means[:, 0]):
-        assert cells[int(mean)].contains(row)
+        assert cells[int(mean)].contains_rows(row[None, :])[0]
 
 
 # ------------------------------------------------------------------ densities
@@ -339,10 +340,10 @@ def test_single_point_wrappers():
         SumNode([0], np.zeros(1), frozenset([0]), R1, 1),
     ]
     circuit = manual_circuit(nodes, 1)
-    moments = predict(circuit, [0.0])
-    assert moments.mean[0] == pytest.approx(1.0)
+    means, covs = predict_batch(circuit, X0)
+    assert means[0, 0] == pytest.approx(1.0)
     # observation variance = latent 0.5 + noise 1.0
-    assert moments.covariance[0, 0] == pytest.approx(1.5)
-    ld = log_predictive_density(circuit, [0.0], [1.0])
+    assert covs[0, 0, 0] == pytest.approx(1.5)
+    ld = log_predictive_density_batch(circuit, X0, np.array([[1.0]]))
     want = -0.5 * (0.0 + math.log(1.5) + math.log(2 * math.pi))
-    assert ld == pytest.approx(want, rel=1e-12)
+    assert ld[0] == pytest.approx(want, rel=1e-12)

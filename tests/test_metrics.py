@@ -50,7 +50,7 @@ def test_mean_nlpd_single_gaussian():
         LeafNode(leaf, frozenset([0]), region, 1),
         SumNode([0], np.zeros(1), frozenset([0]), region, 1),
     ]
-    circuit = Circuit(nodes, 1, 1, 1, StructureConfig(), "momogp")
+    circuit = Circuit(nodes, 1, 1, 1, StructureConfig())
     got = mean_nlpd(circuit, np.array([[0.0]]), np.array([[1.0]]))
     assert got == pytest.approx(0.5 * math.log(2 * math.pi * 1.5), rel=1e-12)
 

@@ -44,7 +44,7 @@ def test_roundtrip_preserves_structure_and_predictions():
     assert validate(bundle.circuit) == []
     assert len(bundle.circuit) == len(circuit)
     assert bundle.circuit.root == circuit.root
-    assert bundle.circuit.structure_kind == circuit.structure_kind
+    assert bundle.circuit.config == circuit.config
     assert bundle.extras == {"note": 7}
     for a, b in zip(circuit.nodes, bundle.circuit.nodes):
         assert type(a) is type(b)
