@@ -36,12 +36,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .gp_leaf import (
-    GpLeaf,
-    KernelHyperparams,
-    cross_gram,
-    gram_matrix,
-)
+from .gp_leaf import GpLeaf, KernelHyperparams
 from .inference import (
     compute_evidence,
     log_predictive_density_batch,
@@ -82,8 +77,6 @@ __all__ = [
     "SchemaError",
     "GpLeaf",
     "KernelHyperparams",
-    "cross_gram",
-    "gram_matrix",
     "compute_evidence",
     "log_predictive_density_batch",
     "predict_batch",

@@ -104,7 +104,7 @@ class StructureConfig:
             ("k_sum", 1), ("k_prod_x", 1), ("k_prod_y", 1), ("leaf_threshold", 1), ("rng_seed", 0)
         ):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.quantile_mode not in ("data", "interval"):
             raise ValueError(

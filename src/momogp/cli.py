@@ -65,7 +65,7 @@ from .serialize import (
     write_json_atomic,
     write_text_atomic,
 )
-from .training import TrainConfig, train
+from .training import TrainConfig, _check_field_types, train
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -92,6 +92,7 @@ class RunConfig:
     def validate(self):
         self.structure.validate()
         self.training.validate()
+        _check_field_types(self)
         if self.nlpd_mode not in NLPD_MODES + ("both",):
             raise SchemaError(f"nlpd_mode must be one of {NLPD_MODES + ('both',)}")
         if self.n_outputs is not None and self.n_outputs < 1:
@@ -321,14 +322,11 @@ def cmd_predict(args) -> int:
     x = bundle.transforms.transform_x(data.x)
     means, covs = predict_batch(circuit, x, include_noise=not args.latent)
     means = bundle.transforms.inverse_y_mean(means)
-    covs = np.stack([bundle.transforms.inverse_y_cov(c) for c in covs])
-    p = circuit.n_outputs
-    header = [f"mean_{i}" for i in range(p)]
-    header += [f"cov_{i}_{j}" for i in range(p) for j in range(i, p)]
-    upper = [(i, j) for i in range(p) for j in range(i, p)]
-    rows = np.hstack(
-        [means, np.stack([[c[i, j] for (i, j) in upper] for c in covs])]
-    )
+    covs = bundle.transforms.inverse_y_cov(covs)
+    iu, ju = np.triu_indices(circuit.n_outputs)
+    header = [f"mean_{i}" for i in range(circuit.n_outputs)]
+    header += [f"cov_{i}_{j}" for i, j in zip(iu, ju)]
+    rows = np.hstack([means, covs[:, iu, ju]])
     _write_csv_atomic(args.out, header, rows)
     print(f"wrote {data.n_rows} predictions to {args.out}")
     return EXIT_OK

@@ -111,33 +111,46 @@ def _scaled(x: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
     return np.ascontiguousarray(x / hyper.lengthscales, dtype=float)
 
 
-def _check_matrix(x: np.ndarray, hyper: KernelHyperparams, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {x.shape}")
-    if x.shape[1] != hyper.n_dims:
-        raise ValueError(
-            f"{name} has {x.shape[1]} columns but hyperparams expect {hyper.n_dims}"
-        )
-    return x
-
-
-def gram_matrix(x: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
-    """Noise-free kernel matrix K(X, X); exactly symmetric with sigma_f^2 on the diagonal."""
-    x = _check_matrix(x, hyper, "x")
-    xs = _scaled(x, hyper)
-    r = cdist(xs, xs)
-    return hyper.signal_variance * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
-
-
-def cross_gram(
+def _matern32(
     x1: np.ndarray, x2: np.ndarray, hyper: KernelHyperparams
-) -> np.ndarray:
-    """Rectangular kernel matrix K(X1, X2)."""
-    x1 = _check_matrix(x1, hyper, "x1")
-    x2 = _check_matrix(x2, hyper, "x2")
-    r = cdist(_scaled(x1, hyper), _scaled(x2, hyper))
-    return hyper.signal_variance * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel matrix K(X1, X2) and its factor exp(-sqrt(3) r).
+
+    K(X, X) is exactly symmetric with sigma_f^2 on the diagonal.
+    """
+    for name, x in (("x1", x1), ("x2", x2)):
+        shape = np.shape(x)
+        if len(shape) != 2 or shape[1] != hyper.n_dims:
+            raise ValueError(
+                f"{name} must be 2-d with {hyper.n_dims} columns, got shape {shape}"
+            )
+    # K is built in r's buffer: a fresh n x n allocation costs more than the
+    # arithmetic on it, and these products round exactly as sf2 (1 + t) e^-t
+    k = cdist(_scaled(x1, hyper), _scaled(x2, hyper))
+    k *= _SQRT3
+    decay = np.exp(-k)
+    k += 1.0
+    k *= hyper.signal_variance
+    k *= decay
+    return k, decay
+
+
+def _jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``c`` and the diagonal jitter it needed, trying
+    each of JITTER_LEVELS in turn; NumericalError when all of them fail."""
+    n = c.shape[0]
+    mean_diag = float(np.mean(np.diag(c)))
+    for level in JITTER_LEVELS:
+        jitter = level * mean_diag
+        try:
+            return np.linalg.cholesky(c + jitter * np.eye(n) if level else c), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericalError(
+        f"Cholesky factorisation failed for a {n}x{n} system after "
+        f"jitter levels {list(JITTER_LEVELS)}",
+        jitter_levels=JITTER_LEVELS,
+    )
 
 
 @dataclass
@@ -185,36 +198,13 @@ class GpLeaf:
         return self.chol_factor is not None
 
     def fit(self) -> "GpLeaf":
-        """Factorise C = K + sigma_n^2 I and cache alpha = C^-1 y and the MLL.
-
-        If the plain factorisation fails, a jitter proportional to the
-        mean diagonal of C is added and escalated tenfold per retry; a
-        NumericalError listing the attempted levels is raised when the
-        ladder is exhausted.
-        """
+        """Factorise C = K + sigma_n^2 I (jittered if it must be) and cache
+        alpha = C^-1 y, the MLL and the jitter used."""
         n = self.n_train
-        k = gram_matrix(self.train_x, self.hyperparams)
+        k = _matern32(self.train_x, self.train_x, self.hyperparams)[0]
         c = k + self.hyperparams.noise_variance * np.eye(n)
-        mean_diag = float(np.mean(np.diag(c)))
-        attempted = []
-        chol = None
-        jitter = 0.0
-        for level in JITTER_LEVELS:
-            attempted.append(level)
-            jitter = level * mean_diag
-            try:
-                chol = np.linalg.cholesky(c + jitter * np.eye(n) if level else c)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if chol is None:
-            raise NumericalError(
-                f"Cholesky factorisation failed for a {n}x{n} system after "
-                f"jitter levels {attempted}",
-                jitter_levels=attempted,
-            )
+        chol, self.jitter = _jittered_cholesky(c)
         self.chol_factor = chol
-        self.jitter = jitter
         self.alpha = cho_solve((chol, True), self.train_y)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         self.cached_mll = -0.5 * (
@@ -236,8 +226,7 @@ class GpLeaf:
         function value.
         """
         self._require_fit()
-        x = _check_matrix(x, self.hyperparams, "x")
-        k_star = cross_gram(x, self.train_x, self.hyperparams)
+        k_star = _matern32(x, self.train_x, self.hyperparams)[0]
         mean = k_star @ self.alpha
         v = solve_triangular(self.chol_factor, k_star.T, lower=True)
         var = self.hyperparams.signal_variance - np.sum(v * v, axis=0)
@@ -264,9 +253,13 @@ class GpLeaf:
 
         Uses the trace identity d mll / d theta = 1/2 tr((alpha alpha^T
         - C^-1) dC/dtheta). For the Matern-3/2 ARD kernel,
-        dK/d log l_d = 3 sigma_f^2 exp(-sqrt(3) r) D_d with
-        D_d = (x_id - x_jd)^2 / l_d^2; the apparent 1/r singularity
-        cancels. Jitter is treated as a constant shift.
+        dK/d log l_d = 3 sigma_f^2 exp(-sqrt(3) r) (s_id - s_jd)^2 with
+        s = x / l; the apparent 1/r singularity cancels. For symmetric B,
+        sum_ij B_ij (s_id - s_jd)^2 = 2 [(s_d o s_d)^T B 1 - s_d^T B s_d],
+        so all lengthscales take one n x n by n x d product; s is centred
+        per column first, which leaves the differences unchanged but keeps
+        the two terms from cancelling. Jitter is treated as a constant
+        shift.
         """
         self._require_fit()
         n = self.n_train
@@ -274,17 +267,12 @@ class GpLeaf:
         c_inv = cho_solve((self.chol_factor, True), np.eye(n))
         a = np.outer(self.alpha, self.alpha) - c_inv
         hyper = self.hyperparams
-        ls = hyper.lengthscales
-        sf2 = hyper.signal_variance
-        xs = _scaled(self.train_x, hyper)
-        r = cdist(xs, xs)
-        decay = np.exp(-_SQRT3 * r)
-        k = sf2 * (1.0 + _SQRT3 * r) * decay
+        k, decay = _matern32(self.train_x, self.train_x, hyper)
+        b = 1.5 * hyper.signal_variance * (a * decay)
+        s = _scaled(self.train_x, hyper)
+        s -= s.mean(axis=0)
         grad = np.empty(d + 2)
-        b = 1.5 * sf2 * (a * decay)
-        for j in range(d):
-            diff = (self.train_x[:, j, None] - self.train_x[None, :, j]) / ls[j]
-            grad[j] = float(np.sum(b * diff * diff))
+        grad[:d] = 2.0 * ((s * s).T @ b.sum(axis=1) - np.sum(s * (b @ s), axis=0))
         grad[d] = 0.5 * float(np.sum(a * k))
         grad[d + 1] = 0.5 * hyper.noise_variance * float(np.trace(a))
         return grad

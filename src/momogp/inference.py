@@ -35,7 +35,7 @@ from .circuit import (
     count_induced_trees,
 )
 from .errors import CapacityError, NotFittedError, NumericalError
-from .gp_leaf import JITTER_LEVELS
+from .gp_leaf import _jittered_cholesky
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -83,7 +83,6 @@ def _moments(
     node_id: int,
     x: np.ndarray,
     include_noise: bool,
-    cross_covariance: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched (B,P) means and (B,P,P) covariances in full output space.
 
@@ -107,7 +106,7 @@ def _moments(
         # children have disjoint scopes: blocks add without overlap, and
         # cross-output covariance between blocks is exactly zero
         for child in node.children:
-            c_mean, c_cov = _moments(circuit, child, x, include_noise, cross_covariance)
+            c_mean, c_cov = _moments(circuit, child, x, include_noise)
             out_mean += c_mean
             out_cov += c_cov
         return out_mean, out_cov
@@ -119,9 +118,7 @@ def _moments(
             mask = assignment == j
             if not np.any(mask):
                 continue
-            c_mean, c_cov = _moments(
-                circuit, child, x[mask], include_noise, cross_covariance
-            )
+            c_mean, c_cov = _moments(circuit, child, x[mask], include_noise)
             out_mean[mask] = c_mean
             out_cov[mask] = c_cov
         return out_mean, out_cov
@@ -130,7 +127,7 @@ def _moments(
     child_means = []
     child_covs = []
     for child in node.children:
-        c_mean, c_cov = _moments(circuit, child, x, include_noise, cross_covariance)
+        c_mean, c_cov = _moments(circuit, child, x, include_noise)
         child_means.append(c_mean)
         child_covs.append(c_cov)
     stacked_means = np.stack(child_means)  # (K, B, P)
@@ -139,11 +136,24 @@ def _moments(
     centered = stacked_means - mix_mean[None, :, :]
     spread = np.einsum("kbp,kbq->kbpq", centered, centered)
     mix_cov = np.einsum("k,kbpq->bpq", weights, stacked_covs + spread)
-    if not cross_covariance:
-        diag = np.einsum("bpp->bp", mix_cov)
-        mix_cov = np.zeros_like(mix_cov)
-        np.einsum("bpp->bp", mix_cov)[...] = diag
     return mix_mean, mix_cov
+
+
+def _root_moments(
+    circuit: Circuit, x: np.ndarray, include_noise: bool, cross_covariance: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moments at the root; ``cross_covariance=False`` keeps only the variances.
+
+    A mixture's variances depend only on its children's means and
+    variances, so zeroing the off-diagonals once here gives the same
+    numbers as zeroing them at every sum.
+    """
+    means, covs = _moments(circuit, circuit.root, x, include_noise)
+    if not cross_covariance:
+        diag = np.einsum("bpp->bp", covs)
+        covs = np.zeros_like(covs)
+        np.einsum("bpp->bp", covs)[...] = diag
+    return means, covs
 
 
 def _checked_inputs(circuit: Circuit, x: np.ndarray) -> np.ndarray:
@@ -171,32 +181,21 @@ def predict_batch(
     (ablation used to quantify how much the full matrix helps).
     """
     x = _checked_inputs(circuit, x)
-    return _moments(circuit, circuit.root, x, include_noise, cross_covariance)
+    return _root_moments(circuit, x, include_noise, cross_covariance)
 
 
 def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Multivariate normal log density per row, with jitter escalation on each P x P solve."""
     b, p = y.shape
     out = np.empty(b)
-    eye = np.eye(p)
     for i in range(b):
-        cov = covs[i]
-        mean_diag = float(np.mean(np.diag(cov)))
-        chol = None
-        attempted = []
-        for level in JITTER_LEVELS:
-            attempted.append(level)
-            try:
-                chol = np.linalg.cholesky(cov + level * mean_diag * eye if level else cov)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if chol is None:
+        try:
+            chol, _ = _jittered_cholesky(covs[i])
+        except NumericalError as exc:
             raise NumericalError(
-                f"predictive covariance at row {i} is not positive definite "
-                f"after jitter levels {attempted}",
-                jitter_levels=attempted,
-            )
+                f"predictive covariance at row {i} is not positive definite: {exc}",
+                jitter_levels=exc.jitter_levels,
+            ) from None
         v = solve_triangular(chol, y[i] - means[i], lower=True)
         out[i] = -0.5 * (v @ v) - float(np.sum(np.log(np.diag(chol)))) - 0.5 * p * _LOG_2PI
     return out
@@ -265,7 +264,7 @@ def log_predictive_density_batch(
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     if mode == "moment_matched":
-        means, covs = _moments(circuit, circuit.root, x, True, cross_covariance)
+        means, covs = _root_moments(circuit, x, True, cross_covariance)
         return _gaussian_logpdf_rows(y, means, covs)
     n_trees = count_induced_trees(circuit)
     if n_trees > tree_cap:

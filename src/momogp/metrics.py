@@ -8,7 +8,7 @@ predictive density of the test targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,16 +72,9 @@ class EvalResult:
     mean_nlpd_exact: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n_test": self.n_test,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "mean_nlpd": self.mean_nlpd,
-            "nlpd_mode": self.nlpd_mode,
-            "per_output_rmse": list(self.per_output_rmse),
-        }
-        if self.mean_nlpd_exact is not None:
-            out["mean_nlpd_exact"] = self.mean_nlpd_exact
+        out = asdict(self)
+        if self.mean_nlpd_exact is None:
+            del out["mean_nlpd_exact"]
         return out
 
     def format_text(self) -> str:

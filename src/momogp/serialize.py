@@ -203,12 +203,15 @@ def _check_links(circuit: Circuit):
     """The checks prediction relies on, in one pass over the node array.
 
     Children come before their parents (the builder adds them first),
-    which also rules out cycles; sum weights are normalized.
+    which also rules out cycles; sum weights are normalized; a leaf's
+    training rows lie in its region.
     """
     if not 0 <= circuit.root < len(circuit.nodes):
         raise SchemaError(f"root id {circuit.root} outside the node array")
     for i, node in enumerate(circuit.nodes):
         if isinstance(node, LeafNode):
+            if not np.all(node.region.contains_rows(node.leaf.train_x)):
+                raise SchemaError(f"node {i}: leaf rows fall outside its region")
             continue
         if not all(0 <= c < i for c in node.children):
             raise SchemaError(f"node {i}: child ids must lie in [0, {i})")

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,33 @@ from .circuit import Circuit
 from .errors import NumericalError
 from .gp_leaf import GpLeaf, KernelHyperparams
 from .inference import compute_evidence, renormalize
+
+
+_FIELD_TYPES = {
+    "int": (int, np.integer),
+    "float": (int, float, np.integer, np.floating),
+    "bool": (bool,),
+}
+
+
+def _check_field_types(cfg) -> None:
+    """Reject a config value whose type disagrees with its field's annotation.
+
+    Bools and numbers do not pass for each other, reals must be finite
+    and ``Optional`` fields also take None; other fields are not checked.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        optional = f.type.startswith("Optional[")
+        kind = f.type[len("Optional["):-1] if optional else f.type
+        if kind not in _FIELD_TYPES or (optional and value is None):
+            continue
+        if (
+            isinstance(value, bool) != (kind == "bool")
+            or not isinstance(value, _FIELD_TYPES[kind])
+            or (kind == "float" and not math.isfinite(value))
+        ):
+            raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass
@@ -44,6 +71,7 @@ class TrainConfig:
     rng_seed: int = 0
 
     def validate(self):
+        _check_field_types(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_epochs < 0:
@@ -73,15 +101,7 @@ class TrainReport:
     wall_time: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "leaf_count": self.leaf_count,
-            "epochs_run": self.epochs_run,
-            "initial_total_mll": self.initial_total_mll,
-            "final_total_mll": self.final_total_mll,
-            "final_root_log_evidence": self.final_root_log_evidence,
-            "stopped_early": self.stopped_early,
-            "wall_time": dict(self.wall_time),
-        }
+        return asdict(self)
 
 
 def init_hyperparams(

@@ -10,6 +10,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from momogp.circuit import (
@@ -95,6 +97,26 @@ def fd_gradient(leaf, eps: float = 1e-5) -> np.ndarray:
         lo = leaf.refit(KernelHyperparams.from_vector(down, leaf.n_dims)).cached_mll
         grad[j] = (hi - lo) / (2.0 * eps)
     leaf.refit(KernelHyperparams.from_vector(base, leaf.n_dims))
+    return grad
+
+
+def loop_gradient(leaf) -> np.ndarray:
+    """Analytic MLL gradient of a fitted leaf, one n x n difference matrix
+    per covariate dimension (the direct form of the trace identity)."""
+    n, d = leaf.train_x.shape
+    hyper = leaf.hyperparams
+    ls = hyper.lengthscales
+    sf2 = hyper.signal_variance
+    a = np.outer(leaf.alpha, leaf.alpha) - cho_solve((leaf.chol_factor, True), np.eye(n))
+    r = cdist(leaf.train_x / ls, leaf.train_x / ls)
+    decay = np.exp(-SQRT3 * r)
+    b = 1.5 * sf2 * (a * decay)
+    grad = np.empty(d + 2)
+    for j in range(d):
+        diff = (leaf.train_x[:, j, None] - leaf.train_x[None, :, j]) / ls[j]
+        grad[j] = float(np.sum(b * diff * diff))
+    grad[d] = 0.5 * float(np.sum(a * sf2 * (1.0 + SQRT3 * r) * decay))
+    grad[d + 1] = 0.5 * hyper.noise_variance * float(np.trace(a))
     return grad
 
 

@@ -63,6 +63,8 @@ def test_config_validation():
             bad.validate()
     with pytest.raises(ValueError):
         StructureConfig(quantile_mode="median").validate()
+    with pytest.raises(ValueError):
+        StructureConfig(k_sum=True).validate()
 
 
 # ------------------------------------------------------------------- builds

@@ -228,6 +228,24 @@ def test_removed_config_keys_are_invalid(tmp_path, capsys, section, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("training", "learning_rate", "fast"),
+        ("training", "max_epochs", 2.5),
+        ("training", "rng_seed", "x"),
+        ("pipeline", "test_fraction", "0.3"),
+        ("pipeline", "standardize", "no"),
+    ],
+)
+def test_wrong_typed_config_value_is_invalid(tmp_path, capsys, section, key, value):
+    config = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+    csv_path = write_train_csv(tmp_path / "train.csv", n=20)
+    assert run(["train", csv_path, "--config", config, "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid:") and key in err
+
+
 def test_missing_n_outputs_is_invalid(tmp_path, capsys):
     csv_path = write_train_csv(tmp_path / "train.csv", n=20)
     assert run(["train", csv_path, "--out", tmp_path / "m.json"]) == 2
@@ -281,6 +299,10 @@ def corrupt(doc, corruption):
     if corruption == "leaf_output_negative":
         leaf["output"] = -1
         return "leaf output"
+    if corruption == "leaf_rows_outside_region":
+        last = [n for n in doc["nodes"] if n["type"] == "leaf"][-1]
+        leaf["rows"] = list(last["rows"])
+        return "outside its region"
     doc["nodes"][root]["log_weights"] = [0.0, 0.0]  # unnormalized_root_weights
     return "weights"
 
@@ -292,6 +314,7 @@ def corrupt(doc, corruption):
         "child_out_of_range",
         "leaf_output_too_large",
         "leaf_output_negative",
+        "leaf_rows_outside_region",
         "unnormalized_root_weights",
     ],
 )

@@ -7,13 +7,7 @@ import pytest
 
 import oracles
 from momogp.errors import NotFittedError
-from momogp.gp_leaf import (
-    JITTER_LEVELS,
-    GpLeaf,
-    KernelHyperparams,
-    cross_gram,
-    gram_matrix,
-)
+from momogp.gp_leaf import JITTER_LEVELS, GpLeaf, KernelHyperparams, _matern32
 
 SQRT3 = math.sqrt(3.0)
 
@@ -23,8 +17,8 @@ def unit_hyper(d, log_noise=0.0):
 
 
 def kernel(a, b, hyper):
-    """The package kernel between two points, as a 1x1 cross Gram matrix."""
-    return float(cross_gram(np.atleast_2d(a), np.atleast_2d(b), hyper)[0, 0])
+    """The package kernel between two points, as a 1x1 kernel matrix."""
+    return float(_matern32(np.atleast_2d(a), np.atleast_2d(b), hyper)[0][0, 0])
 
 
 def random_leaf(rng, n=12, d=2):
@@ -68,7 +62,7 @@ def test_kernel_dimension_mismatch():
 def test_gram_exactly_symmetric_and_psd():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 4))
-    k = gram_matrix(x, oracles.random_hyperparams(rng, 4))
+    k, _ = _matern32(x, x, oracles.random_hyperparams(rng, 4))
     assert np.array_equal(k, k.T)
     assert np.min(np.linalg.eigvalsh(k)) > -1e-10
 
@@ -79,10 +73,10 @@ def test_gram_and_cross_match_loop_oracle():
     xq = rng.normal(size=(4, 2))
     hyper = oracles.random_hyperparams(rng, 2)
     np.testing.assert_allclose(
-        gram_matrix(x, hyper), oracles.dense_gram(x, hyper), rtol=1e-12, atol=1e-14
+        _matern32(x, x, hyper)[0], oracles.dense_gram(x, hyper), rtol=1e-12, atol=1e-14
     )
     np.testing.assert_allclose(
-        cross_gram(xq, x, hyper), oracles.dense_cross(xq, x, hyper),
+        _matern32(xq, x, hyper)[0], oracles.dense_cross(xq, x, hyper),
         rtol=1e-12, atol=1e-14,
     )
 
@@ -225,6 +219,20 @@ def test_gradient_matches_central_differences():
         fd = oracles.fd_gradient(leaf)
         err = np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(fd))
         assert err < 1e-4, (d, grad, fd)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1000.0])
+def test_gradient_matches_loop_reference(offset):
+    # the one-product lengthscale gradient subtracts two large terms;
+    # covariates far from the origin would expose any cancellation
+    rng = np.random.default_rng(10)
+    for n, d in ((2, 1), (17, 3), (60, 16), (119, 5)):
+        x = rng.normal(size=(n, d)) + offset
+        y = np.sin(x.sum(axis=1)) + 0.2 * rng.normal(size=n)
+        leaf = GpLeaf(0, x, y, oracles.random_hyperparams(rng, d)).fit()
+        ref = oracles.loop_gradient(leaf)
+        err = np.max(np.abs(leaf.mll_gradient() - ref)) / np.max(np.abs(ref))
+        assert err < 1e-9, (n, d, err)
 
 
 def test_refit_swaps_hyperparams():
