@@ -10,6 +10,13 @@ The model is a rooted tree of four node kinds:
   one child per subset.
 * Leaf: a single-output GP expert on the node's region.
 
+Nodes live in one array and are addressed by id. The ids are the
+topological order: every child id is lower than its parent's, and
+every node except the root has exactly one parent (so the root is the
+last node). The builder adds children first, and ``validate`` checks
+this rule for built and loaded circuits alike, so every bottom-up pass
+is a plain loop over the ids.
+
 Construction recursively alternates Sum -> ProductX -> ProductY until
 a subset is small enough (at most ``leaf_threshold`` observations) to
 hand each remaining output to a GP leaf. Sum children split along the
@@ -25,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data_pipeline import Dataset
 from .gp_leaf import GpLeaf, KernelHyperparams
@@ -157,7 +163,7 @@ Node = Union[SumNode, ProductXNode, ProductYNode, LeafNode]
 
 @dataclass
 class Circuit:
-    """Node array addressed by integer ids; ``root`` indexes into it."""
+    """Node array addressed by integer ids in topological order; ``root`` indexes into it."""
 
     nodes: list
     root: int
@@ -175,26 +181,6 @@ class Circuit:
 
     def leaf_ids(self) -> list[int]:
         return [i for i, _ in self.leaves()]
-
-    def topo_order(self) -> list[int]:
-        """Ids in child-before-parent order, restricted to nodes reachable from the root."""
-        order: list[int] = []
-        seen = set()
-        stack = [(self.root, False)]
-        while stack:
-            node_id, expanded = stack.pop()
-            if expanded:
-                order.append(node_id)
-                continue
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            stack.append((node_id, True))
-            node = self.nodes[node_id]
-            if not isinstance(node, LeafNode):
-                for child in node.children:
-                    stack.append((child, False))
-        return order
 
     def describe(self) -> dict:
         counts = {"sum": 0, "product_x": 0, "product_y": 0, "leaf": 0}
@@ -334,7 +320,6 @@ class _Builder:
             train_x=self.x[rows],
             train_y=self.y[rows, output],
             hyperparams=hyper,
-            region=region,
             row_idx=rows.copy(),
         )
         return self.add(LeafNode(leaf, frozenset([output]), region, int(rows.size)))
@@ -367,25 +352,62 @@ def build(data: Dataset, cfg: StructureConfig) -> Circuit:
     return Circuit(builder.nodes, root, y.shape[1], x.shape[1], replace(cfg))
 
 
-def _check_sum(circuit: Circuit, i: int, node: SumNode, problems: list[str]):
+def _box(region: Region) -> tuple[list, list]:
+    # plain lists compare faster than arrays at these sizes, with the same result
+    return region.lower.tolist(), region.upper.tolist()
+
+
+def _check_ids(circuit: Circuit) -> list[str]:
+    """The id rule: child ids lie in [0, parent id) and every node but the root
+    has exactly one parent; also the node kinds and region widths."""
+    nodes = circuit.nodes
+    n = len(nodes)
+    problems: list[str] = []
+    parents = [0] * n
+    for i, node in enumerate(nodes):
+        if not isinstance(node, (SumNode, ProductXNode, ProductYNode, LeafNode)):
+            problems.append(f"node {i}: unknown node type {type(node).__name__}")
+            continue
+        if node.region.n_dims != circuit.n_dims:
+            problems.append(f"node {i}: region has {node.region.n_dims} dims, expected {circuit.n_dims}")
+        if isinstance(node, LeafNode):
+            continue
+        if not all(0 <= c < i for c in node.children):
+            problems.append(f"node {i}: child ids must lie in [0, {i})")
+            continue
+        for c in node.children:
+            parents[c] += 1
+    for i, count in enumerate(parents):
+        if i == circuit.root:
+            if count:
+                problems.append(f"node {i}: the root has a parent")
+        elif count == 0:
+            problems.append(f"node {i}: no parent, so unreachable from the root")
+        elif count > 1:
+            problems.append(f"node {i}: {count} parents, so not a tree")
+    return problems
+
+
+def _check_sum(i: int, node: SumNode, nodes: list, boxes: list, problems: list[str]):
     if len(node.children) < 1:
         problems.append(f"node {i}: sum without children")
         return
     if not np.all(np.isfinite(node.log_weights)):
         problems.append(f"node {i}: non-finite log weights")
         return
-    residual = float(logsumexp(node.log_weights))
+    residual = float(np.logaddexp.reduce(node.log_weights))
     if abs(residual) > 1e-12:
         problems.append(f"node {i}: weights sum to exp({residual}) != 1")
     for child in node.children:
-        child_node = circuit.nodes[child]
-        if child_node.scope != node.scope:
+        if nodes[child].scope != node.scope:
             problems.append(f"node {i}: sum child {child} changes scope")
-        if not child_node.region.same_as(node.region):
+        if boxes[child] != boxes[i]:
             problems.append(f"node {i}: sum child {child} changes region")
 
 
-def _check_product_x(circuit: Circuit, i: int, node: ProductXNode, problems: list[str]):
+def _check_product_x(
+    i: int, node: ProductXNode, nodes: list, boxes: list, problems: list[str]
+):
     if len(node.children) < 2:
         problems.append(f"node {i}: covariate split with fewer than two cells")
         return
@@ -393,109 +415,94 @@ def _check_product_x(circuit: Circuit, i: int, node: ProductXNode, problems: lis
         problems.append(f"node {i}: child_regions length mismatch")
         return
     dim = node.split_dim
-    for child, stored_region in zip(node.children, node.child_regions):
-        child_node = circuit.nodes[child]
-        if child_node.scope != node.scope:
+    lower, upper = boxes[i]
+    if not 0 <= dim < len(lower):
+        problems.append(f"node {i}: split dimension {dim} outside [0, {len(lower)})")
+        return
+    # the stored cells, in order, must tile the region along dim
+    edge = lower[dim]
+    for child, cell in zip(node.children, node.child_regions):
+        if nodes[child].scope != node.scope:
             problems.append(f"node {i}: covariate-split child {child} changes scope")
-        if not child_node.region.same_as(stored_region):
-            problems.append(
-                f"node {i}: child {child} region disagrees with stored cell"
-            )
-        other = np.arange(node.region.n_dims) != dim
-        if not (
-            np.array_equal(child_node.region.lower[other], node.region.lower[other])
-            and np.array_equal(child_node.region.upper[other], node.region.upper[other])
-        ):
-            problems.append(
-                f"node {i}: child {child} moves bounds off the split dimension"
-            )
-    cells = sorted(
-        (float(r.lower[dim]), float(r.upper[dim])) for r in node.child_regions
-    )
-    if cells[0][0] != float(node.region.lower[dim]):
-        problems.append(f"node {i}: cells do not start at the region lower bound")
-    if cells[-1][1] != float(node.region.upper[dim]):
+        cell_box = _box(cell)
+        if boxes[child] != cell_box:
+            problems.append(f"node {i}: child {child} region disagrees with stored cell")
+        cell_lower, cell_upper = cell_box
+        if cell_lower[dim] != edge:
+            problems.append(f"node {i}: cells leave a gap or overlap at {edge}")
+        edge = cell_upper[dim]
+        cell_lower[dim], cell_upper[dim] = lower[dim], upper[dim]
+        if cell_lower != lower or cell_upper != upper:
+            problems.append(f"node {i}: child {child} moves bounds off the split dimension")
+    if edge != upper[dim]:
         problems.append(f"node {i}: cells do not end at the region upper bound")
-    for (_, hi_a), (lo_b, _) in zip(cells, cells[1:]):
-        if hi_a != lo_b:
-            problems.append(f"node {i}: cells leave a gap or overlap at {hi_a}")
 
 
-def _check_product_y(circuit: Circuit, i: int, node: ProductYNode, problems: list[str]):
+def _check_product_y(
+    i: int, node: ProductYNode, nodes: list, boxes: list, problems: list[str]
+):
     if len(node.children) < 1:
         problems.append(f"node {i}: output partition without children")
         return
     union: set[int] = set()
     total = 0
     for child in node.children:
-        child_node = circuit.nodes[child]
-        union |= set(child_node.scope)
-        total += len(child_node.scope)
-        if not child_node.region.same_as(node.region):
+        union |= nodes[child].scope
+        total += len(nodes[child].scope)
+        if boxes[child] != boxes[i]:
             problems.append(f"node {i}: output-partition child {child} changes region")
-    if total != len(union) or union != set(node.scope):
+    if total != len(union) or union != node.scope:
         problems.append(f"node {i}: children do not partition the output scope")
 
 
+def _check_leaf(circuit: Circuit, i: int, node: LeafNode, problems: list[str]):
+    if node.scope != frozenset([node.leaf.scope_output]):
+        problems.append(f"node {i}: leaf scope disagrees with its output index")
+    if node.leaf.n_dims != circuit.n_dims:
+        problems.append(f"node {i}: leaf dimensionality mismatch")
+    elif not np.all(node.region.contains_rows(node.leaf.train_x)):
+        problems.append(f"node {i}: leaf rows fall outside its region")
+
+
 def validate(circuit: Circuit) -> list[str]:
-    """Structural invariant check; returns human-readable violations (empty when sound)."""
-    problems: list[str] = []
-    n = len(circuit.nodes)
-    if not 0 <= circuit.root < n:
-        return [f"root id {circuit.root} out of range"]
+    """Structural invariant check; returns human-readable violations (empty when sound).
 
-    # rooted-tree shape: every node reached exactly once, no id reused
-    seen: set[int] = set()
-    stack = [circuit.root]
-    while stack:
-        node_id = stack.pop()
-        if not 0 <= node_id < n:
-            problems.append(f"child id {node_id} out of range")
-            continue
-        if node_id in seen:
-            problems.append(f"node {node_id}: reached twice (not a tree)")
-            continue
-        seen.add(node_id)
-        node = circuit.nodes[node_id]
-        if not isinstance(node, LeafNode):
-            stack.extend(node.children)
-    unreachable = set(range(n)) - seen
-    for node_id in sorted(unreachable):
-        problems.append(f"node {node_id}: unreachable from root")
-
-    for i in sorted(seen):
-        node = circuit.nodes[i]
+    One pass in id order. The link checks come first; the per-kind
+    checks (smooth sums, tiling covariate splits, output partitions,
+    leaves inside their regions) run only when the links are sound.
+    """
+    nodes = circuit.nodes
+    if not 0 <= circuit.root < len(nodes):
+        return [f"root id {circuit.root} outside the node array"]
+    problems = _check_ids(circuit)
+    if problems:
+        return problems
+    if nodes[circuit.root].scope != frozenset(range(circuit.n_outputs)):
+        problems.append(f"root scope is not the {circuit.n_outputs} outputs")
+    boxes = [_box(node.region) for node in nodes]
+    for i, node in enumerate(nodes):
         if isinstance(node, SumNode):
-            _check_sum(circuit, i, node, problems)
+            _check_sum(i, node, nodes, boxes, problems)
         elif isinstance(node, ProductXNode):
-            _check_product_x(circuit, i, node, problems)
+            _check_product_x(i, node, nodes, boxes, problems)
         elif isinstance(node, ProductYNode):
-            _check_product_y(circuit, i, node, problems)
-        elif isinstance(node, LeafNode):
-            if node.scope != frozenset([node.leaf.scope_output]):
-                problems.append(f"node {i}: leaf scope disagrees with its output index")
-            if node.leaf.n_dims != circuit.n_dims:
-                problems.append(f"node {i}: leaf dimensionality mismatch")
-            inside = node.region.contains_rows(node.leaf.train_x)
-            if not bool(np.all(inside)):
-                problems.append(f"node {i}: training rows outside the leaf region")
+            _check_product_y(i, node, nodes, boxes, problems)
         else:
-            problems.append(f"node {i}: unknown node type {type(node).__name__}")
+            _check_leaf(circuit, i, node, problems)
     return problems
 
 
 def count_induced_trees(circuit: Circuit) -> int:
     """Exact count (python int) of distinct induced trees: one sum child per sum."""
-    counts: dict[int, int] = {}
-    for node_id in circuit.topo_order():
-        node = circuit.nodes[node_id]
+    counts: list[int] = []
+    for node in circuit.nodes:
         if isinstance(node, LeafNode):
-            counts[node_id] = 1
+            counts.append(1)
         elif isinstance(node, SumNode):
-            counts[node_id] = sum(counts[c] for c in node.children)
+            counts.append(sum(counts[c] for c in node.children))
         else:
             total = 1
             for c in node.children:
                 total *= counts[c]
-            counts[node_id] = total
+            counts.append(total)
     return counts[circuit.root]

@@ -23,13 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .circuit import (
-    StructureConfig,
-    TREE_ENUM_CAP,
-    build,
-    count_induced_trees,
-    validate,
-)
+from .circuit import StructureConfig, build, validate
 from .data_pipeline import (
     Dataset,
     PipelineTransforms,
@@ -262,47 +256,39 @@ def cmd_evaluate(args) -> int:
             f"test data has {data.n_dims} covariate columns, model expects {expected}"
         )
     mode = cfg.nlpd_mode
-    # refuse before the moment pass, which costs far more than the count
-    if mode in ("exact_mixture", "both"):
-        n_trees = count_induced_trees(circuit)
-        if n_trees > TREE_ENUM_CAP:
-            raise CapacityError(
-                f"exact NLPD requested but the circuit induces {n_trees} trees, "
-                f"above the cap {TREE_ENUM_CAP}"
-            )
     x = bundle.transforms.transform_x(data.x)
     y_model_space = bundle.transforms.transform_y(data.y)
+    std = bundle.transforms.standardization
+    unstandardize = args.unstandardized_metrics and std is not None
+    # densities pick up the log-Jacobian of the linear rescaling
+    log_jacobian = float(np.sum(np.log(std.y_std))) if unstandardize else 0.0
+    # the exact density goes first: over the tree cap it refuses before
+    # the moment pass, which costs far more than the count
+    nlpd_exact = None
+    if mode in ("exact_mixture", "both"):
+        nlpd_exact = (
+            mean_nlpd(circuit, x, y_model_space, mode="exact_mixture") + log_jacobian
+        )
     means, _ = predict_batch(circuit, x)
-
-    exact_extra = None
-    if mode == "both":
-        mode = "moment_matched"
-        exact_extra = "exact_mixture"
-
-    if args.unstandardized_metrics and bundle.transforms.standardization is not None:
-        y_std = bundle.transforms.standardization.y_std
-        y_ref = data.y
-        means_ref = bundle.transforms.inverse_y_mean(means)
-        # densities pick up the log-Jacobian of the linear rescaling
-        log_jacobian = float(np.sum(np.log(y_std)))
+    if unstandardize:
+        y_ref, means_ref = data.y, bundle.transforms.inverse_y_mean(means)
     else:
-        y_ref = y_model_space
-        means_ref = means
-        log_jacobian = 0.0
+        y_ref, means_ref = y_model_space, means
 
-    nlpd = mean_nlpd(circuit, x, y_model_space, mode=mode) + log_jacobian
+    if mode == "exact_mixture":
+        nlpd = nlpd_exact
+    else:
+        nlpd = mean_nlpd(circuit, x, y_model_space, mode="moment_matched") + log_jacobian
     result = EvalResult(
         n_test=data.n_rows,
         rmse=rmse(y_ref, means_ref),
         mae=mae(y_ref, means_ref),
         mean_nlpd=nlpd,
-        nlpd_mode=mode,
+        nlpd_mode="exact_mixture" if mode == "exact_mixture" else "moment_matched",
         per_output_rmse=[float(v) for v in per_output_rmse(y_ref, means_ref)],
     )
-    if exact_extra is not None:
-        result.mean_nlpd_exact = (
-            mean_nlpd(circuit, x, y_model_space, mode=exact_extra) + log_jacobian
-        )
+    if mode == "both":
+        result.mean_nlpd_exact = nlpd_exact
     print(result.format_text())
     out_path = args.out or (args.model + ".eval.json")
     write_json_atomic(out_path, result.to_dict())

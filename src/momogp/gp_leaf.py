@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import NotFittedError, NumericalError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .circuit import Region
 
 _SQRT3 = math.sqrt(3.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -155,7 +152,7 @@ def _jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass
 class GpLeaf:
-    """A single-output GP expert over a rectangular covariate region.
+    """A single-output GP expert; its ``LeafNode`` holds the covariate region.
 
     The leaf keeps its own training subset (rows of the circuit's
     training data) plus the cached fit state. ``row_idx`` records which
@@ -167,7 +164,6 @@ class GpLeaf:
     train_x: np.ndarray
     train_y: np.ndarray
     hyperparams: KernelHyperparams
-    region: Optional["Region"] = None
     row_idx: Optional[np.ndarray] = None
     chol_factor: Optional[np.ndarray] = field(default=None, repr=False)
     alpha: Optional[np.ndarray] = field(default=None, repr=False)

@@ -43,10 +43,9 @@ NLPD_MODES = ("moment_matched", "exact_mixture")
 
 
 def compute_evidence(circuit: Circuit) -> np.ndarray:
-    """Per-node log evidence, indexed by node id (NaN for unreachable ids)."""
+    """Per-node log evidence, indexed by node id."""
     z = np.full(len(circuit.nodes), np.nan)
-    for node_id in circuit.topo_order():
-        node = circuit.nodes[node_id]
+    for node_id, node in enumerate(circuit.nodes):
         if isinstance(node, LeafNode):
             if node.leaf.cached_mll is None:
                 raise NotFittedError(f"leaf node {node_id} has no cached likelihood")
@@ -61,8 +60,7 @@ def compute_evidence(circuit: Circuit) -> np.ndarray:
 def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
     """Rewrite every sum's weights as posterior weights; returns the root log evidence."""
     z = compute_evidence(circuit) if evidence is None else evidence
-    for node_id in circuit.topo_order():
-        node = circuit.nodes[node_id]
+    for node_id, node in enumerate(circuit.nodes):
         if isinstance(node, SumNode):
             log_w = node.log_weights + z[node.children] - z[node_id]
             node.log_weights = log_w - logsumexp(log_w)

@@ -5,7 +5,8 @@ array positions), the training matrices in pipeline space, the fitted
 preprocessing transforms and the structure config. Leaves store kernel
 hyperparameters plus the row indices of their training subset, so the
 heavy per-leaf state (Cholesky factor, alpha) is reproduced exactly by
-refitting on load rather than stored.
+refitting on load rather than stored. A loaded circuit goes through the
+same ``validate`` as a built one before any leaf is refitted.
 
 Serialisation is byte-deterministic: keys are sorted and floats use
 Python's shortest round-trip repr. Writes go to a temp file in the
@@ -32,6 +33,7 @@ from .circuit import (
     Region,
     StructureConfig,
     SumNode,
+    validate,
 )
 from .data_pipeline import PcaTransform, PipelineTransforms, Standardization
 from .errors import SchemaError
@@ -148,7 +150,6 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
             train_x=x[rows],
             train_y=y[rows, output],
             hyperparams=hyper,
-            region=region,
             row_idx=rows,
         )
         return LeafNode(leaf, scope, region, n_rows)
@@ -197,28 +198,6 @@ def _transforms_from_json(obj: dict) -> PipelineTransforms:
             np.asarray(t["explained_variance"], dtype=float),
         )
     return PipelineTransforms(std, pca)
-
-
-def _check_links(circuit: Circuit):
-    """The checks prediction relies on, in one pass over the node array.
-
-    Children come before their parents (the builder adds them first),
-    which also rules out cycles; sum weights are normalized; a leaf's
-    training rows lie in its region.
-    """
-    if not 0 <= circuit.root < len(circuit.nodes):
-        raise SchemaError(f"root id {circuit.root} outside the node array")
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, LeafNode):
-            if not np.all(node.region.contains_rows(node.leaf.train_x)):
-                raise SchemaError(f"node {i}: leaf rows fall outside its region")
-            continue
-        if not all(0 <= c < i for c in node.children):
-            raise SchemaError(f"node {i}: child ids must lie in [0, {i})")
-        if isinstance(node, SumNode):
-            residual = float(np.logaddexp.reduce(node.log_weights))
-            if not (np.all(np.isfinite(node.log_weights)) and abs(residual) <= 1e-12):
-                raise SchemaError(f"node {i}: sum weights are not normalized")
 
 
 @dataclass
@@ -291,7 +270,9 @@ def model_from_dict(obj: dict) -> ModelBundle:
             n_dims=x.shape[1],
             config=config,
         )
-        _check_links(circuit)
+        problems = validate(circuit)
+        if problems:
+            raise SchemaError(f"invalid circuit: {problems[0]}")
         transforms = _transforms_from_json(obj.get("transforms") or {})
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None

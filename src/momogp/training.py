@@ -125,12 +125,15 @@ def init_hyperparams(
     return out
 
 
-def _evaluate(leaf: GpLeaf, slot: int) -> tuple[float, np.ndarray]:
-    leaf.fit()
+def _fit_mll(leaf: GpLeaf) -> float:
+    return leaf.fit().cached_mll
+
+
+def _gradient(leaf: GpLeaf, slot: int) -> np.ndarray:
     grad = leaf.mll_gradient()
     if not np.all(np.isfinite(grad)):
         raise NumericalError(f"non-finite gradient at leaf slot {slot}")
-    return leaf.cached_mll, grad
+    return grad
 
 
 def train(
@@ -155,34 +158,27 @@ def train(
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    for leaf, hyper in zip(leaves, init_hyperparams(n_leaves, circuit.n_dims, cfg)):
-        leaf.hyperparams = hyper
-
     workers = threads if threads and threads > 0 else min(8, os.cpu_count() or 1)
     workers = min(workers, max(n_leaves, 1))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    leaf_map = pool.map if pool is not None else map
 
-    def evaluate_all() -> tuple[np.ndarray, np.ndarray]:
-        mlls = np.empty(n_leaves)
-        grads = np.empty((n_leaves, n_params))
-        if pool is not None:
-            results = list(pool.map(_evaluate, leaves, range(n_leaves)))
-        else:
-            results = [_evaluate(leaf, i) for i, leaf in enumerate(leaves)]
-        for i, (mll, grad) in enumerate(results):
-            mlls[i] = mll
-            grads[i] = grad
-        return mlls, grads
+    def fit_all(theta: np.ndarray) -> float:
+        for leaf, vec in zip(leaves, theta):
+            leaf.hyperparams = KernelHyperparams.from_vector(vec, circuit.n_dims)
+        return float(np.sum(np.fromiter(leaf_map(_fit_mll, leaves), float, n_leaves)))
 
     try:
-        mlls, grads = evaluate_all()
+        theta = np.array(
+            [h.to_vector() for h in init_hyperparams(n_leaves, circuit.n_dims, cfg)]
+        ).reshape(n_leaves, n_params)
+        initial_total = fit_all(theta)
         times["init"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        theta = np.stack([leaf.hyperparams.to_vector() for leaf in leaves]) if n_leaves else np.zeros((0, n_params))
-        initial_total = float(np.sum(mlls))
         best_total = initial_total
-        best_theta = theta.copy()
+        best_theta = theta
+        best_epoch = 0
         adam_m = np.zeros_like(theta)
         adam_v = np.zeros_like(theta)
         prev_total = initial_total
@@ -191,21 +187,21 @@ def train(
         stopped_early = False
         for epoch in range(cfg.max_epochs):
             step = epoch + 1
+            # the gradient of the fit the leaves hold, taken only when a step uses it
+            grads = np.array(
+                list(leaf_map(_gradient, leaves, range(n_leaves))), dtype=float
+            ).reshape(n_leaves, n_params)
             adam_m = cfg.adam_beta1 * adam_m + (1 - cfg.adam_beta1) * grads
             adam_v = cfg.adam_beta2 * adam_v + (1 - cfg.adam_beta2) * grads**2
             m_hat = adam_m / (1 - cfg.adam_beta1**step)
             v_hat = adam_v / (1 - cfg.adam_beta2**step)
             theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
-            for i, leaf in enumerate(leaves):
-                leaf.hyperparams = KernelHyperparams.from_vector(
-                    theta[i], circuit.n_dims
-                )
-            mlls, grads = evaluate_all()
-            total = float(np.sum(mlls))
+            total = fit_all(theta)
             epochs += 1
             if total > best_total:
                 best_total = total
-                best_theta = theta.copy()
+                best_theta = theta
+                best_epoch = epochs
             rel_change = abs(total - prev_total) / max(1.0, abs(prev_total))
             streak = streak + 1 if rel_change < cfg.early_stop_rel_tol else 0
             prev_total = total
@@ -214,17 +210,11 @@ def train(
                 break
         times["optimize"] = time.perf_counter() - t0
 
-        # restore the best snapshot; refitting reproduces its cached state exactly
+        # restore the best snapshot unless the leaves already hold it;
+        # refitting reproduces its cached state exactly
         t0 = time.perf_counter()
-        for i, leaf in enumerate(leaves):
-            leaf.hyperparams = KernelHyperparams.from_vector(
-                best_theta[i], circuit.n_dims
-            )
-        if pool is not None:
-            list(pool.map(GpLeaf.fit, leaves))
-        else:
-            for leaf in leaves:
-                leaf.fit()
+        if best_epoch != epochs:
+            fit_all(best_theta)
         times["refit"] = time.perf_counter() - t0
     finally:
         if pool is not None:

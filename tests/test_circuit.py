@@ -274,3 +274,34 @@ def test_validate_flags_bad_root():
     circuit = build(make_data(10, n=60), StructureConfig(leaf_threshold=15, rng_seed=0))
     circuit.root = len(circuit.nodes) + 5
     assert validate(circuit) != []
+
+
+def test_validate_flags_broken_links():
+    def fresh():
+        return build(make_data(11, n=60), StructureConfig(leaf_threshold=15, rng_seed=0))
+
+    circuit = fresh()
+    inner = next(n for n in circuit.nodes if not isinstance(n, LeafNode))
+    inner.children[0] = len(circuit.nodes) + 3  # beyond the node array
+    assert any("child ids" in p for p in validate(circuit))
+
+    circuit = fresh()
+    root = circuit.nodes[circuit.root]
+    dropped = root.children[1]
+    root.children[1] = root.children[0]
+    problems = validate(circuit)
+    assert f"node {root.children[0]}: 2 parents, so not a tree" in problems
+    assert f"node {dropped}: no parent, so unreachable from the root" in problems
+
+    circuit = fresh()
+    circuit.nodes.append(circuit.nodes[0])  # a node nothing points to
+    assert any("unreachable" in p for p in validate(circuit))
+
+
+def test_validate_flags_wrong_output_count_and_width():
+    circuit = build(make_data(12, n=60), StructureConfig(leaf_threshold=15, rng_seed=0))
+    circuit.n_outputs += 1  # the root no longer covers every output
+    assert any("root scope" in p for p in validate(circuit))
+    circuit.n_outputs -= 1
+    circuit.n_dims += 1
+    assert any("region has" in p for p in validate(circuit))

@@ -303,6 +303,30 @@ def corrupt(doc, corruption):
         last = [n for n in doc["nodes"] if n["type"] == "leaf"][-1]
         leaf["rows"] = list(last["rows"])
         return "outside its region"
+    if corruption == "output_partition_repeats_child":
+        split = next(n for n in doc["nodes"] if n["type"] == "product_y" and len(n["children"]) > 1)
+        split["children"][1] = split["children"][0]
+        return "2 parents"
+    if corruption == "cell_moved_off_child_region":
+        split = next(n for n in doc["nodes"] if n["type"] == "product_x")
+        first, second = split["child_regions"][:2]
+        dim = split["split_dim"]
+        upper = second["upper"][dim]
+        edge = first["upper"][dim]
+        moved = edge + 1.0 if upper is None else 0.5 * (edge + upper)
+        first["upper"][dim] = second["lower"][dim] = moved  # the cells still tile
+        return "stored cell"
+    if corruption == "sum_child_from_other_scope":
+        sums = [n for n in doc["nodes"] if n["type"] == "sum" and len(n["scope"]) == 1]
+        other = next(n for n in sums if n["scope"] != sums[-1]["scope"])
+        sums[-1]["children"][0] = other["children"][0]
+        return "2 parents"
+    if corruption == "split_dim_out_of_range":
+        next(n for n in doc["nodes"] if n["type"] == "product_x")["split_dim"] = 7
+        return "split dimension"
+    if corruption == "unreachable_node":
+        doc["nodes"].append(dict(leaf))
+        return "unreachable"
     doc["nodes"][root]["log_weights"] = [0.0, 0.0]  # unnormalized_root_weights
     return "weights"
 
@@ -316,6 +340,11 @@ def corrupt(doc, corruption):
         "leaf_output_negative",
         "leaf_rows_outside_region",
         "unnormalized_root_weights",
+        "output_partition_repeats_child",
+        "cell_moved_off_child_region",
+        "sum_child_from_other_scope",
+        "split_dim_out_of_range",
+        "unreachable_node",
     ],
 )
 def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corruption):
