@@ -45,7 +45,7 @@ _MODEL_KIND = "momogp_model"
 
 def _bound_list(values: np.ndarray) -> list:
     # infinities become JSON null; the field (lower/upper) fixes the sign
-    return [None if math.isinf(v) else float(v) for v in values]
+    return [None if math.isinf(v) else v for v in values.tolist()]
 
 
 def _region_to_json(region: Region) -> dict:
@@ -97,7 +97,7 @@ def _node_to_json(node) -> dict:
         return {
             "type": "leaf",
             "output": int(leaf.scope_output),
-            "rows": [int(r) for r in leaf.row_idx],
+            "rows": np.asarray(leaf.row_idx).tolist(),
             "hyperparams": {
                 "log_lengthscales": [float(v) for v in leaf.hyperparams.log_lengthscales],
                 "log_signal_variance": float(leaf.hyperparams.log_signal_variance),
@@ -220,6 +220,7 @@ def model_to_dict(
 ) -> dict:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    # tolist gives the same python floats as float() per element, in one C pass
     return {
         "kind": _MODEL_KIND,
         "schema_version": SCHEMA_VERSION,
@@ -229,8 +230,8 @@ def model_to_dict(
         "structure_config": asdict(circuit.config),
         "nodes": [_node_to_json(node) for node in circuit.nodes],
         "data": {
-            "x": [[float(v) for v in row] for row in x],
-            "y": [[float(v) for v in row] for row in y],
+            "x": x.tolist(),
+            "y": y.tolist(),
         },
         "transforms": _transforms_to_json(transforms),
         "extras": dict(extras or {}),
