@@ -80,11 +80,6 @@ class Region:
         upper[dim] = hi
         return Region(lower, upper)
 
-    def same_as(self, other: "Region") -> bool:
-        return np.array_equal(self.lower, other.lower) and np.array_equal(
-            self.upper, other.upper
-        )
-
 
 @dataclass
 class StructureConfig:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .circuit import (
@@ -183,20 +182,33 @@ def predict_batch(
 
 
 def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Multivariate normal log density per row, with jitter escalation on each P x P solve."""
+    """Multivariate normal log density per row from one batched Cholesky.
+
+    Only if that factorization fails are the rows factored one by one,
+    so jitter reaches just the rows that need it; every other row gets
+    the same unjittered factor as in the batched call.
+    """
     b, p = y.shape
-    out = np.empty(b)
-    for i in range(b):
-        try:
-            chol, _ = _jittered_cholesky(covs[i])
-        except NumericalError as exc:
-            raise NumericalError(
-                f"predictive covariance at row {i} is not positive definite: {exc}",
-                jitter_levels=exc.jitter_levels,
-            ) from None
-        v = solve_triangular(chol, y[i] - means[i], lower=True)
-        out[i] = -0.5 * (v @ v) - float(np.sum(np.log(np.diag(chol)))) - 0.5 * p * _LOG_2PI
-    return out
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(covs)
+        for i in range(b):
+            try:
+                chol[i], _ = _jittered_cholesky(covs[i])
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"predictive covariance at row {i} is not positive definite: {exc}",
+                    jitter_levels=exc.jitter_levels,
+                ) from None
+    # forward substitution L v = y - mean over the P columns, all rows at once
+    v = y - means
+    for j in range(p):
+        for k in range(j):
+            v[:, j] -= chol[:, j, k] * v[:, k]
+        v[:, j] /= chol[:, j, j]
+    half_log_det = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return -0.5 * np.sum(v * v, axis=1) - half_log_det - 0.5 * p * _LOG_2PI
 
 
 def _log_density_exact(

@@ -156,48 +156,48 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
     raise SchemaError(f"unknown node type {kind!r}")
 
 
+_TRANSFORM_PARTS = (("standardization", Standardization), ("pca", PcaTransform))
+
+
 def _transforms_to_json(transforms: Optional[PipelineTransforms]) -> dict:
-    if transforms is None:
-        return {"standardization": None, "pca": None}
-    std = None
-    if transforms.standardization is not None:
-        s = transforms.standardization
-        std = {
-            "x_mean": [float(v) for v in s.x_mean],
-            "x_std": [float(v) for v in s.x_std],
-            "y_mean": [float(v) for v in s.y_mean],
-            "y_std": [float(v) for v in s.y_std],
+    t = transforms or PipelineTransforms()
+    out = {}
+    for name, cls in _TRANSFORM_PARTS:
+        part = getattr(t, name)
+        out[name] = None if part is None else {
+            f.name: np.asarray(getattr(part, f.name), dtype=float).tolist() for f in fields(cls)
         }
-    pca = None
-    if transforms.pca is not None:
-        t = transforms.pca
-        pca = {
-            "mean": [float(v) for v in t.mean],
-            "components": [[float(v) for v in row] for row in t.components],
-            "explained_variance": [float(v) for v in t.explained_variance],
-        }
-    return {"standardization": std, "pca": pca}
+    return out
 
 
 def _transforms_from_json(obj: dict) -> PipelineTransforms:
-    std = None
-    if obj.get("standardization") is not None:
-        s = obj["standardization"]
-        std = Standardization(
-            np.asarray(s["x_mean"], dtype=float),
-            np.asarray(s["x_std"], dtype=float),
-            np.asarray(s["y_mean"], dtype=float),
-            np.asarray(s["y_std"], dtype=float),
+    parts = {}
+    for name, cls in _TRANSFORM_PARTS:
+        stored = obj.get(name)
+        parts[name] = None if stored is None else cls(
+            **{f.name: np.asarray(stored[f.name], dtype=float) for f in fields(cls)}
         )
-    pca = None
-    if obj.get("pca") is not None:
-        t = obj["pca"]
-        pca = PcaTransform(
-            np.asarray(t["mean"], dtype=float),
-            np.asarray(t["components"], dtype=float),
-            np.asarray(t["explained_variance"], dtype=float),
-        )
-    return PipelineTransforms(std, pca)
+    return PipelineTransforms(**parts)
+
+
+def _check_transforms(t: PipelineTransforms, n_dims: int, n_outputs: int):
+    """Finite entries shaped like the data's, positive stds, non-negative variances."""
+    s, pca = t.standardization, t.pca
+    d = n_dims if pca is None else pca.mean.size  # raw covariate count
+    entries = []
+    if s is not None:
+        entries += [("x_mean", s.x_mean, (d,)), ("x_std", s.x_std, (d,)),
+                    ("y_mean", s.y_mean, (n_outputs,)), ("y_std", s.y_std, (n_outputs,))]
+    if pca is not None:
+        entries += [("pca mean", pca.mean, (d,)), ("pca components", pca.components, (d, n_dims)),
+                    ("pca explained_variance", pca.explained_variance, (n_dims,))]
+    for name, values, shape in entries:
+        if values.shape != shape or not np.all(np.isfinite(values)):
+            raise SchemaError(f"transform {name} must be finite values of shape {shape}")
+    if s is not None and not (np.all(s.x_std > 0) and np.all(s.y_std > 0)):
+        raise SchemaError("transform x_std and y_std must be > 0")
+    if pca is not None and np.any(pca.explained_variance < 0):
+        raise SchemaError("transform pca explained_variance must be >= 0")
 
 
 @dataclass
@@ -259,6 +259,9 @@ def model_from_dict(obj: dict) -> ModelBundle:
             y = y.reshape(x.shape[0], -1)
         if y.shape != (x.shape[0], int(obj["n_outputs"])):
             raise SchemaError("stored y must have one row per x row and n_outputs columns")
+        for name, values in (("x", x), ("y", y)):
+            if not np.all(np.isfinite(values)):
+                raise SchemaError(f"stored data.{name} must be finite")
         config = StructureConfig(
             **{f.name: obj["structure_config"][f.name] for f in fields(StructureConfig)}
         )
@@ -275,6 +278,7 @@ def model_from_dict(obj: dict) -> ModelBundle:
         if problems:
             raise SchemaError(f"invalid circuit: {problems[0]}")
         transforms = _transforms_from_json(obj.get("transforms") or {})
+        _check_transforms(transforms, circuit.n_dims, circuit.n_outputs)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None
     # refitting reproduces the cached per-leaf state; stored posterior

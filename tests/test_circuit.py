@@ -86,7 +86,8 @@ def test_default_build_shape():
     root = circuit.nodes[circuit.root]
     assert isinstance(root, SumNode)
     assert root.scope == frozenset(range(data.n_outputs))
-    assert root.region.same_as(Region.unbounded(data.n_dims))
+    assert np.array_equal(root.region.lower, np.full(data.n_dims, -np.inf))
+    assert np.array_equal(root.region.upper, np.full(data.n_dims, np.inf))
 
 
 def test_leaves_respect_threshold_on_continuous_data():
@@ -117,7 +118,8 @@ def test_same_seed_same_structure():
     for na, nb in zip(a.nodes, b.nodes):
         assert type(na) is type(nb)
         assert na.scope == nb.scope
-        assert na.region.same_as(nb.region)
+        assert np.array_equal(na.region.lower, nb.region.lower)
+        assert np.array_equal(na.region.upper, nb.region.upper)
         if isinstance(na, LeafNode):
             assert np.array_equal(na.leaf.row_idx, nb.leaf.row_idx)
 

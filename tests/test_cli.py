@@ -327,6 +327,19 @@ def corrupt(doc, corruption):
     if corruption == "unreachable_node":
         doc["nodes"].append(dict(leaf))
         return "unreachable"
+    std = doc["transforms"]["standardization"]
+    if corruption == "y_mean_nan":
+        std["y_mean"][0] = float("nan")
+        return "y_mean"
+    if corruption in ("y_std_negative", "y_std_zero"):
+        std["y_std"][0] = -1.0 if corruption == "y_std_negative" else 0.0
+        return "y_std"
+    if corruption == "y_mean_wrong_length":
+        std["y_mean"] = [0.0]
+        return "y_mean"
+    if corruption == "x_std_negative":
+        std["x_std"][0] = -2.0
+        return "x_std"
     doc["nodes"][root]["log_weights"] = [0.0, 0.0]  # unnormalized_root_weights
     return "weights"
 
@@ -345,6 +358,11 @@ def corrupt(doc, corruption):
         "sum_child_from_other_scope",
         "split_dim_out_of_range",
         "unreachable_node",
+        "y_mean_nan",
+        "y_std_negative",
+        "y_std_zero",
+        "y_mean_wrong_length",
+        "x_std_negative",
     ],
 )
 def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corruption):

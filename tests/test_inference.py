@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 import oracles
 from momogp.circuit import (
@@ -18,9 +19,10 @@ from momogp.circuit import (
     count_induced_trees,
 )
 from momogp.data_pipeline import Dataset
-from momogp.errors import CapacityError, NotFittedError
+from momogp.errors import CapacityError, NotFittedError, NumericalError
 from momogp.gp_leaf import GpLeaf, KernelHyperparams
 from momogp.inference import (
+    _gaussian_logpdf_rows,
     compute_evidence,
     log_predictive_density_batch,
     predict_batch,
@@ -281,6 +283,43 @@ def test_moment_matched_density_is_gaussian_in_matched_moments():
             + p * math.log(2 * math.pi)
         )
         assert got[i] == pytest.approx(want, rel=1e-9)
+
+
+def random_spd_rows(rng, b, p):
+    a = rng.normal(size=(b, p, p))
+    covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(p)
+    return rng.normal(size=(b, p)), rng.normal(size=(b, p)), covs
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_batched_density_matches_scipy_per_row(p):
+    rng = np.random.default_rng(40 + p)
+    for b in (1, 9, 500):
+        y, means, covs = random_spd_rows(rng, b, p)
+        got = _gaussian_logpdf_rows(y, means, covs)
+        want = [multivariate_normal.logpdf(y[i], means[i], covs[i]) for i in range(b)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_batched_density_jitters_only_the_failing_row():
+    rng = np.random.default_rng(44)
+    y, means, covs = random_spd_rows(rng, 20, 3)
+    u = rng.normal(size=3)
+    covs[7] = np.outer(u, u)  # rank 1: PSD but not positive definite
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(covs[7])
+    got = _gaussian_logpdf_rows(y, means, covs)
+    assert np.isfinite(got[7])
+    without = _gaussian_logpdf_rows(*(np.delete(a, 7, axis=0) for a in (y, means, covs)))
+    assert np.array_equal(np.delete(got, 7), without)
+
+
+def test_batched_density_names_the_unrecoverable_row():
+    rng = np.random.default_rng(45)
+    y, means, covs = random_spd_rows(rng, 20, 3)
+    covs[7] = -np.eye(3)
+    with pytest.raises(NumericalError, match="row 7"):
+        _gaussian_logpdf_rows(y, means, covs)
 
 
 def test_single_tree_circuit_densities_agree():

@@ -49,7 +49,8 @@ def test_roundtrip_preserves_structure_and_predictions():
     for a, b in zip(circuit.nodes, bundle.circuit.nodes):
         assert type(a) is type(b)
         assert a.scope == b.scope
-        assert a.region.same_as(b.region)
+        assert np.array_equal(a.region.lower, b.region.lower)
+        assert np.array_equal(a.region.upper, b.region.upper)
         if isinstance(a, SumNode):
             np.testing.assert_array_equal(a.log_weights, b.log_weights)
     # refit on load reproduces the fitted state bit for bit
