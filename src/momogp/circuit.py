@@ -89,8 +89,6 @@ class StructureConfig:
     split; k_prod_y output subsets per partition; leaf_threshold the
     maximum observations a leaf may hold before further splitting.
     k_prod_x=1 or k_prod_y=1 disables that split kind (pass-through).
-    quantile_mode chooses empirical data quantiles ("data") or evenly
-    spaced interval fractions ("interval") as split thresholds.
     """
 
     k_sum: int = 2
@@ -98,7 +96,6 @@ class StructureConfig:
     k_prod_y: int = 2
     leaf_threshold: int = 500
     rng_seed: int = 0
-    quantile_mode: str = "data"
 
     def validate(self):
         for name, low in (
@@ -107,10 +104,6 @@ class StructureConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.quantile_mode not in ("data", "interval"):
-            raise ValueError(
-                f"quantile_mode must be 'data' or 'interval', got {self.quantile_mode!r}"
-            )
 
 
 @dataclass
@@ -232,14 +225,7 @@ class _Builder:
             return self.build_prod_y(region, rows, scope, False)
         vals = self.x[rows, dim]
         fractions = np.arange(1, cfg.k_prod_x) / cfg.k_prod_x
-        if cfg.quantile_mode == "data":
-            raw = np.quantile(vals, fractions)
-        else:
-            lo, hi = float(region.lower[dim]), float(region.upper[dim])
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                lo, hi = float(vals.min()), float(vals.max())
-            raw = lo + (hi - lo) * fractions
-        thresholds = np.unique(raw)
+        thresholds = np.unique(np.quantile(vals, fractions))
         thresholds = thresholds[
             (thresholds > region.lower[dim]) & (thresholds < region.upper[dim])
         ]

@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: train, evaluate, predict, upsample. A run is configured
-by an optional JSON file (sections "structure", "training",
-"pipeline") plus command line overrides; the merged effective config
-is echoed so runs are reproducible, and stored inside the model file.
+by the command's defaults, then an optional JSON file (sections
+"structure", "training", "pipeline") that overrides the keys it names,
+then command line flags; train and upsample echo the merged effective
+config so runs are reproducible, and train stores it in the model file.
 
 Exit codes: 0 success, 2 invalid input/config, 3 I/O failure,
 4 numerical failure, 5 capacity exceeded. Failures print
@@ -112,7 +113,9 @@ def _section_keys(target) -> list[str]:
     return [f.name for f in fields(target) if f.name not in ("structure", "training")]
 
 
-def _apply_section(target, section: dict, label: str):
+def _apply_section(target, section, label: str):
+    if not isinstance(section, dict):
+        raise SchemaError(f"config section {label!r} must be an object")
     allowed = _section_keys(target)
     for key, value in section.items():
         if key not in allowed:
@@ -120,8 +123,8 @@ def _apply_section(target, section: dict, label: str):
         setattr(target, key, value)
 
 
-def load_run_config(path: Optional[str]) -> RunConfig:
-    cfg = RunConfig()
+def load_run_config(path: Optional[str], cfg: RunConfig) -> RunConfig:
+    """Apply the config file at ``path``, if any, over the defaults ``cfg``."""
     if path is None:
         return cfg
     with open(path) as fh:
@@ -189,13 +192,18 @@ def _fit_pipeline(data: Dataset, cfg: RunConfig) -> tuple[Dataset, PipelineTrans
     return work, transforms
 
 
-def _expected_input_columns(bundle) -> int:
-    transforms = bundle.transforms
-    if transforms.pca is not None:
-        return transforms.pca.mean.shape[0]
-    if transforms.standardization is not None:
-        return transforms.standardization.x_mean.shape[0]
-    return bundle.circuit.n_dims
+def _fit_and_train(data: Dataset, cfg: RunConfig):
+    """Fit the pipeline, build and validate the circuit, echo the run and train it."""
+    work, transforms = _fit_pipeline(data, cfg)
+    circuit = build(work, cfg.structure)
+    problems = validate(circuit)
+    if problems:
+        raise NumericalError(f"built circuit failed validation: {problems[0]}")
+    _echo_config(cfg)
+    print(f"structure: {json.dumps(circuit.describe(), sort_keys=True)}")
+    circuit, report = train(circuit, work, cfg.training, threads=cfg.threads)
+    print(f"training report: {json.dumps(report.to_dict(), sort_keys=True)}")
+    return work, transforms, circuit, report
 
 
 def _write_csv_atomic(path, header: list[str], rows: np.ndarray):
@@ -208,21 +216,14 @@ def _write_csv_atomic(path, header: list[str], rows: np.ndarray):
 
 
 def cmd_train(args) -> int:
-    cfg = _merge_overrides(load_run_config(args.config), args)
+    cfg = _merge_overrides(load_run_config(args.config, RunConfig()), args)
     if cfg.n_outputs is None:
         raise SchemaError("n_outputs is required (flag --n-outputs or pipeline.n_outputs)")
     data = load_csv(args.train_csv, cfg.n_outputs)
     holdout = None
     if cfg.test_fraction > 0.0:
         data, holdout = split(data, cfg.test_fraction, cfg.split_seed)
-    work, transforms = _fit_pipeline(data, cfg)
-    circuit = build(work, cfg.structure)
-    problems = validate(circuit)
-    if problems:
-        raise NumericalError(f"built circuit failed validation: {problems[0]}")
-    _echo_config(cfg)
-    print(f"structure: {json.dumps(circuit.describe(), sort_keys=True)}")
-    circuit, report = train(circuit, work, cfg.training, threads=cfg.threads)
+    work, transforms, circuit, report = _fit_and_train(data, cfg)
     persisted_config = cfg.to_dict()
     # thread count is an execution detail; results are thread-invariant
     persisted_config["pipeline"]["threads"] = None
@@ -231,7 +232,6 @@ def cmd_train(args) -> int:
         "root_log_evidence": report.final_root_log_evidence,
     }
     save_model(args.out, circuit, transforms, work.x, work.y, extras)
-    print(f"training report: {json.dumps(report.to_dict(), sort_keys=True)}")
     print(f"wrote model to {args.out}")
     if holdout is not None:
         holdout_path = args.out + ".test.csv"
@@ -246,15 +246,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _merge_overrides(load_run_config(args.config), args)
+    cfg = _merge_overrides(load_run_config(args.config, RunConfig()), args)
     bundle = load_model(args.model)
     circuit = bundle.circuit
-    expected = _expected_input_columns(bundle)
     data = load_csv(args.test_csv, circuit.n_outputs)
-    if data.n_dims != expected:
-        raise SchemaError(
-            f"test data has {data.n_dims} covariate columns, model expects {expected}"
-        )
     mode = cfg.nlpd_mode
     x = bundle.transforms.transform_x(data.x)
     y_model_space = bundle.transforms.transform_y(data.y)
@@ -299,12 +294,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_model(args.model)
     circuit = bundle.circuit
-    expected = _expected_input_columns(bundle)
     data = load_csv(args.input_csv, 0)
-    if data.n_dims != expected:
-        raise SchemaError(
-            f"input has {data.n_dims} covariate columns, model expects {expected}"
-        )
     x = bundle.transforms.transform_x(data.x)
     means, covs = predict_batch(circuit, x, include_noise=not args.latent)
     means = bundle.transforms.inverse_y_mean(means)
@@ -318,28 +308,13 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _upsample_default_config() -> RunConfig:
-    cfg = RunConfig()
-    cfg.structure.leaf_threshold = 256
-    return cfg
-
-
 def cmd_upsample(args) -> int:
-    base = _upsample_default_config()
-    if args.config is not None:
-        file_cfg = load_run_config(args.config)
-        # the file wins over the upsample defaults wherever it spoke
-        base = file_cfg
-    cfg = _merge_overrides(base, args)
+    defaults = RunConfig(structure=StructureConfig(leaf_threshold=256))
+    cfg = _merge_overrides(load_run_config(args.config, defaults), args)
     if args.factor < 2:
         raise SchemaError("--factor must be >= 2")
     img = read_ppm(args.in_ppm)
-    data = image_to_dataset(img)
-    work, transforms = _fit_pipeline(data, cfg)
-    circuit = build(work, cfg.structure)
-    _echo_config(cfg)
-    circuit, report = train(circuit, work, cfg.training, threads=cfg.threads)
-    print(f"training report: {json.dumps(report.to_dict(), sort_keys=True)}")
+    _, transforms, circuit, _ = _fit_and_train(image_to_dataset(img), cfg)
 
     height, width = img.shape[:2]
     big_h, big_w = height * args.factor, width * args.factor
@@ -377,13 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"momogp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_flag(p):
         p.add_argument("--config", help="JSON config file")
+
+    def training_flags(p):
+        config_flag(p)
         p.add_argument("--seed", type=int, help="override all RNG seeds")
         p.add_argument("--threads", type=int, help="worker threads for leaf fits")
 
     p_train = sub.add_parser("train", help="fit a model from a CSV")
-    common(p_train)
+    training_flags(p_train)
     p_train.add_argument("train_csv")
     p_train.add_argument("--out", required=True, help="model JSON output path")
     p_train.add_argument("--n-outputs", type=int, dest="n_outputs")
@@ -402,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a model on a test CSV")
-    common(p_eval)
+    config_flag(p_eval)
     p_eval.add_argument("model")
     p_eval.add_argument("test_csv")
     p_eval.add_argument(
@@ -419,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_pred = sub.add_parser("predict", help="predictive moments for covariate rows")
-    common(p_pred)
     p_pred.add_argument("model")
     p_pred.add_argument("input_csv")
     p_pred.add_argument("--out", required=True, help="predictions CSV path")
@@ -431,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=cmd_predict)
 
     p_up = sub.add_parser("upsample", help="super-resolve a PPM image")
-    common(p_up)
+    training_flags(p_up)
     p_up.add_argument("in_ppm")
     p_up.add_argument("--factor", type=int, default=2)
     p_up.add_argument("--out", required=True, help="output PPM path")

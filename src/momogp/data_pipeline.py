@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,37 +46,23 @@ class Dataset:
         return self.y.shape[1]
 
 
-def load_csv(
-    path,
-    n_outputs: int,
-    delimiter: str = ",",
-    header: str = "auto",
-) -> Dataset:
-    """Load a numeric CSV whose last ``n_outputs`` columns are targets.
+def load_csv(path, n_outputs: int) -> Dataset:
+    """Load a numeric comma-separated file whose last ``n_outputs`` columns are targets.
 
-    ``header`` is "auto" (first row kept as names when any cell fails to
-    parse as a number), "yes" or "no". Rows with unparseable or
-    non-finite fields are rejected with their 1-based line number.
+    The first row is kept as column names when any of its cells fails to
+    parse as a number. Rows with unparseable or non-finite fields are
+    rejected with their 1-based line number.
     """
-    if header not in ("auto", "yes", "no"):
-        raise ValueError(f"header must be auto|yes|no, got {header!r}")
     rows = []
     names = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for line_no, record in enumerate(reader, start=1):
+        for line_no, record in enumerate(csv.reader(fh), start=1):
             if not record or all(cell.strip() == "" for cell in record):
                 continue
-            if line_no == 1 and header != "no":
-                numeric = True
-                if header == "yes":
-                    numeric = False
-                else:
-                    try:
-                        [float(cell) for cell in record]
-                    except ValueError:
-                        numeric = False
-                if not numeric:
+            if line_no == 1:
+                try:
+                    [float(cell) for cell in record]
+                except ValueError:
                     names = [cell.strip() for cell in record]
                     continue
             try:
@@ -142,12 +128,10 @@ def standardize(data: Dataset) -> tuple[Dataset, Standardization]:
 
 
 def apply_standardization(data: Dataset, stats: Standardization) -> Dataset:
-    x = (data.x - stats.x_mean) / stats.x_std
-    if data.n_outputs:
-        y = (data.y - stats.y_mean) / stats.y_std
-    else:
-        y = data.y
-    return Dataset(x, y, column_names=data.column_names)
+    transforms = PipelineTransforms(standardization=stats)
+    return Dataset(
+        transforms.transform_x(data.x), transforms.transform_y(data.y), data.column_names
+    )
 
 
 @dataclass
@@ -208,6 +192,9 @@ class PipelineTransforms:
     def transform_x(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.standardization is not None:
+            width = self.standardization.x_mean.shape[0]
+            if x.ndim != 2 or x.shape[1] != width:
+                raise ValueError(f"x has shape {x.shape}, the model expects {width} columns")
             x = (x - self.standardization.x_mean) / self.standardization.x_std
         if self.pca is not None:
             x = apply_pca(x, self.pca)

@@ -15,13 +15,12 @@ Running ``python -m momogp.images out.ppm`` writes the demo image.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 
 import numpy as np
 
 from .data_pipeline import Dataset
+from .serialize import write_text_atomic
 
 
 def _header_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
@@ -98,20 +97,7 @@ def write_ppm(path, img: np.ndarray):
     """Write a binary P6 file atomically (temp file + rename)."""
     img = _as_uint8(img)
     height, width = img.shape[:2]
-    header = f"P6\n{width} {height}\n255\n".encode()
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(img.tobytes())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    write_text_atomic(path, f"P6\n{width} {height}\n255\n".encode() + img.tobytes())
 
 
 def nearest_upsample(img: np.ndarray, factor: int) -> np.ndarray:

@@ -156,9 +156,7 @@ def _root_moments(
 def _checked_inputs(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != circuit.n_dims:
-        raise ValueError(
-            f"x must have shape (B, {circuit.n_dims}), got {x.shape}"
-        )
+        raise ValueError(f"x has shape {x.shape}, the circuit expects {circuit.n_dims} columns")
     if not np.all(np.isfinite(x)):
         raise ValueError("query points must be finite")
     return x

@@ -277,7 +277,12 @@ def model_from_dict(obj: dict) -> ModelBundle:
         problems = validate(circuit)
         if problems:
             raise SchemaError(f"invalid circuit: {problems[0]}")
-        transforms = _transforms_from_json(obj.get("transforms") or {})
+        stored_transforms = obj.get("transforms") or {}
+        extras = obj.get("extras") or {}
+        for name, value in (("transforms", stored_transforms), ("extras", extras)):
+            if not isinstance(value, dict):
+                raise SchemaError(f"model file {name} must be an object")
+        transforms = _transforms_from_json(stored_transforms)
         _check_transforms(transforms, circuit.n_dims, circuit.n_outputs)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None
@@ -286,7 +291,7 @@ def model_from_dict(obj: dict) -> ModelBundle:
     # only for unchanged data, so it is not done here)
     for _, node in circuit.leaves():
         node.leaf.fit()
-    return ModelBundle(circuit, transforms, x, y, dict(obj.get("extras") or {}))
+    return ModelBundle(circuit, transforms, x, y, dict(extras))
 
 
 def dumps_canonical(obj: dict) -> str:
@@ -294,13 +299,13 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def write_text_atomic(path, text: str):
-    """Write text to a temp file beside ``path`` and rename on success."""
+def write_text_atomic(path, content: str | bytes):
+    """Write text or bytes to a temp file beside ``path`` and rename on success."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as fh:
+            fh.write(content)
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -62,8 +62,6 @@ def test_config_validation():
         with pytest.raises(ValueError):
             bad.validate()
     with pytest.raises(ValueError):
-        StructureConfig(quantile_mode="median").validate()
-    with pytest.raises(ValueError):
         StructureConfig(k_sum=True).validate()
 
 
@@ -165,42 +163,6 @@ def test_degenerate_duplicate_covariates_terminate():
         assert validate(circuit) == []
         # leaves may exceed the threshold here since no split can shrink them
         assert all(node.leaf.n_train == 40 for _, node in circuit.leaves())
-
-
-def test_quantile_modes_produce_different_cells():
-    rng = np.random.default_rng(7)
-    x = rng.exponential(size=(160, 1))  # skewed: median != midpoint
-    y = np.sin(x)
-    a = build(Dataset(x, y), StructureConfig(leaf_threshold=40, rng_seed=0))
-    b = build(
-        Dataset(x, y),
-        StructureConfig(leaf_threshold=40, rng_seed=0, quantile_mode="interval"),
-    )
-
-    def thresholds(circuit):
-        out = []
-        for node in circuit.nodes:
-            if isinstance(node, ProductXNode):
-                out.extend(
-                    float(r.upper[node.split_dim])
-                    for r in node.child_regions[:-1]
-                )
-        return sorted(out)
-
-    assert validate(a) == [] and validate(b) == []
-    assert thresholds(a) != thresholds(b)
-
-
-def test_interval_mode_splits_at_midpoints():
-    x = np.linspace(0.0, 1.0, 64)[:, None]
-    y = np.sin(x)
-    circuit = build(
-        Dataset(x, y),
-        StructureConfig(k_sum=1, leaf_threshold=40, rng_seed=0, quantile_mode="interval"),
-    )
-    node = next(n for n in circuit.nodes if isinstance(n, ProductXNode))
-    # root region is unbounded, so interval mode falls back to the data range
-    assert float(node.child_regions[0].upper[0]) == pytest.approx(0.5)
 
 
 def test_build_rejects_bad_data():

@@ -246,6 +246,35 @@ def test_wrong_typed_config_value_is_invalid(tmp_path, capsys, section, key, val
     assert err.startswith("ERROR invalid:") and key in err
 
 
+@pytest.mark.parametrize("section, value", [("structure", []), ("pipeline", 5), ("training", "x")])
+def test_config_section_not_object_is_invalid(tmp_path, capsys, section, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({section: value}))
+    csv_path = write_train_csv(tmp_path / "train.csv", n=20)
+    code = run(
+        ["train", csv_path, "--config", config, "--out", tmp_path / "m.json", "--n-outputs", "2"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid:") and section in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "m.json", "q.csv", "--out", "p.csv", "--config", "c.json"],
+        ["predict", "m.json", "q.csv", "--out", "p.csv", "--seed", "1"],
+        ["predict", "m.json", "q.csv", "--out", "p.csv", "--threads", "2"],
+        ["evaluate", "m.json", "t.csv", "--seed", "1"],
+        ["evaluate", "m.json", "t.csv", "--threads", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
 def test_missing_n_outputs_is_invalid(tmp_path, capsys):
     csv_path = write_train_csv(tmp_path / "train.csv", n=20)
     assert run(["train", csv_path, "--out", tmp_path / "m.json"]) == 2
@@ -327,6 +356,12 @@ def corrupt(doc, corruption):
     if corruption == "unreachable_node":
         doc["nodes"].append(dict(leaf))
         return "unreachable"
+    if corruption == "transforms_not_object":
+        doc["transforms"] = ["standardization"]
+        return "transforms"
+    if corruption == "extras_not_object":
+        doc["extras"] = 3
+        return "extras"
     std = doc["transforms"]["standardization"]
     if corruption == "y_mean_nan":
         std["y_mean"][0] = float("nan")
@@ -363,6 +398,8 @@ def corrupt(doc, corruption):
         "y_std_zero",
         "y_mean_wrong_length",
         "x_std_negative",
+        "transforms_not_object",
+        "extras_not_object",
     ],
 )
 def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corruption):
@@ -435,6 +472,19 @@ def test_upsample_writes_all_outputs(tmp_path, capsys):
     assert read_ppm(tmp_path / "up.bilinear.ppm").shape == (24, 24, 3)
     stdout = capsys.readouterr().out
     assert "rmse_model=" in stdout and "rmse_bilinear=" in stdout
+
+
+def test_upsample_config_file_keeps_upsample_defaults(tmp_path, capsys):
+    small = tmp_path / "small.ppm"
+    write_ppm(small, synthetic_image(8))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"training": {"max_epochs": 0}}))
+    code = run(["upsample", small, "--out", tmp_path / "o.ppm", "--config", config])
+    assert code == 0
+    echoed = capsys.readouterr().out
+    effective = json.loads(echoed.split("effective config:\n")[1].split("structure:")[0])
+    assert effective["structure"]["leaf_threshold"] == 256
+    assert effective["training"]["max_epochs"] == 0
 
 
 def test_upsample_factor_validation(tmp_path, capsys):

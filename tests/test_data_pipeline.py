@@ -48,17 +48,6 @@ def test_load_csv_headerless_auto(tmp_path):
     assert data.n_dims == 1 and data.n_outputs == 2
 
 
-def test_load_csv_forced_header_modes(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,2\n3,4\n")
-    # header="yes" consumes the first data row as names
-    data = load_csv(path, n_outputs=1, header="yes")
-    assert data.column_names == ["1", "2"]
-    assert data.n_rows == 1
-    with pytest.raises(ValueError):
-        load_csv(path, n_outputs=1, header="sometimes")
-
-
 def test_load_csv_rejects_bad_rows_with_line_numbers(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n1,2\noops,4\n")
@@ -89,10 +78,14 @@ def test_load_csv_column_budget(tmp_path):
 
 
 def test_load_csv_alternate_delimiter_and_blank_lines(tmp_path):
-    path = tmp_path / "d.tsv"
-    path.write_text("1\t2\n\n3\t4\n")
-    data = load_csv(path, n_outputs=1, delimiter="\t")
+    path = tmp_path / "d.csv"
+    path.write_text("1,2\n\n3,4\n")
+    data = load_csv(path, n_outputs=1)
     assert data.n_rows == 2
+    # only commas separate fields: a tab-separated file is not numeric
+    path.write_text("1\t2\n3\t4\n")
+    with pytest.raises(ValueError, match="row 2"):
+        load_csv(path, n_outputs=1)
 
 
 # ----------------------------------------------------------- standardization
@@ -108,6 +101,17 @@ def test_standardize_zero_mean_unit_std():
     np.testing.assert_allclose(out.y.std(axis=0), 1.0, atol=1e-12)
     again = apply_standardization(data, stats)
     np.testing.assert_array_equal(again.x, out.x)
+    np.testing.assert_array_equal(again.y, out.y)
+
+
+def test_covariate_width_is_checked_where_transforms_apply():
+    rng = np.random.default_rng(0)
+    _, stats = standardize(Dataset(rng.normal(size=(10, 3)), rng.normal(size=(10, 2))))
+    narrow = Dataset(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)))
+    with pytest.raises(ValueError, match=r"\(4, 1\).* 3 columns"):
+        PipelineTransforms(standardization=stats).transform_x(narrow.x)
+    with pytest.raises(ValueError, match=r"\(4, 1\).* 3 columns"):
+        apply_standardization(narrow, stats)
 
 
 def test_standardize_constant_column_warns_and_keeps_scale():
