@@ -200,20 +200,32 @@ class PipelineTransforms:
             x = apply_pca(x, self.pca)
         return x
 
+    def _output_width(self, a: np.ndarray, what: str, n_axes: int) -> np.ndarray:
+        """``a`` as floats, once its last ``n_axes`` axes match the output count."""
+        a = np.asarray(a, dtype=float)
+        width = self.standardization.y_mean.shape[0]
+        if a.ndim < n_axes or a.shape[a.ndim - n_axes:] != (width,) * n_axes:
+            raise ValueError(f"{what} has shape {a.shape}, the model has {width} outputs")
+        return a
+
     def transform_y(self, y: np.ndarray) -> np.ndarray:
+        """Standardize targets; a y with no columns (covariates only) passes through."""
         y = np.asarray(y, dtype=float)
-        if self.standardization is not None and y.shape[1]:
-            y = (y - self.standardization.y_mean) / self.standardization.y_std
-        return y
+        if self.standardization is None or (y.ndim == 2 and y.shape[1] == 0):
+            return y
+        y = self._output_width(y, "y", 1)
+        return (y - self.standardization.y_mean) / self.standardization.y_std
 
     def inverse_y_mean(self, mean: np.ndarray) -> np.ndarray:
         if self.standardization is None:
             return np.asarray(mean, dtype=float)
+        mean = self._output_width(mean, "mean", 1)
         return mean * self.standardization.y_std + self.standardization.y_mean
 
     def inverse_y_cov(self, cov: np.ndarray) -> np.ndarray:
         if self.standardization is None:
             return np.asarray(cov, dtype=float)
+        cov = self._output_width(cov, "covariance", 2)
         scale = self.standardization.y_std
         return cov * np.outer(scale, scale)
 

@@ -3,9 +3,10 @@
 Each expert owns a Matern-3/2 kernel with per-dimension lengthscales
 (automatic relevance determination), a signal variance and a noise
 variance, all kept in log space so gradient ascent stays unconstrained.
-Fitting caches a Cholesky factorisation of the noisy Gram matrix; the
-posterior moments, the marginal log likelihood and its gradient then
-follow in closed form:
+Fitting caches a Cholesky factorisation of the noisy Gram matrix
+(LAPACK potrf); the posterior moments, the marginal log likelihood and
+its gradient then follow in closed form, the gradient's C^-1 coming
+from that factor by LAPACK potri:
 
     C = K + sigma_n^2 I
     mll = -1/2 (y^T C^-1 y + log|C| + N log 2pi)
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import NotFittedError, NumericalError
@@ -34,6 +35,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Jitter escalation ladder, as fractions of mean(diag(C)). The first
 # attempt adds nothing; afterwards each step multiplies by ten.
 JITTER_LEVELS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+
+def _exp(v: float) -> float:
+    """math.exp, but inf where it would overflow, so a variance too large to
+    hold fails the factorisation instead of raising mid-kernel."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -79,11 +89,11 @@ class KernelHyperparams:
 
     @property
     def signal_variance(self) -> float:
-        return math.exp(self.log_signal_variance)
+        return _exp(self.log_signal_variance)
 
     @property
     def noise_variance(self) -> float:
-        return math.exp(self.log_noise_variance)
+        return _exp(self.log_noise_variance)
 
     def to_vector(self) -> np.ndarray:
         """Pack into [log_lengthscales..., log_signal_variance, log_noise_variance]."""
@@ -134,18 +144,26 @@ def _matern32(
 
 def _jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``c`` and the diagonal jitter it needed, trying
-    each of JITTER_LEVELS in turn; NumericalError when all of them fail."""
+    each of JITTER_LEVELS in turn; NumericalError when all of them fail.
+
+    The factor's upper triangle is exactly zero. potrf can report success on
+    non-finite input, but the factor's diagonal then shows it and that level
+    counts as failed.
+    """
     n = c.shape[0]
     mean_diag = float(np.mean(np.diag(c)))
     for level in JITTER_LEVELS:
         jitter = level * mean_diag
-        try:
-            return np.linalg.cholesky(c + jitter * np.eye(n) if level else c), jitter
-        except np.linalg.LinAlgError:
-            continue
+        jittered = c
+        if level:
+            jittered = c.copy()
+            jittered.flat[:: n + 1] += jitter
+        chol, info = lapack.dpotrf(jittered, lower=1, clean=1)
+        if info == 0 and np.all(np.isfinite(np.diagonal(chol))):
+            return chol, jitter
     raise NumericalError(
-        f"Cholesky factorisation failed for a {n}x{n} system after "
-        f"jitter levels {list(JITTER_LEVELS)}",
+        f"Cholesky factorisation failed for a {n}x{n} system (not positive "
+        f"definite, or not finite) after jitter levels {list(JITTER_LEVELS)}",
         jitter_levels=JITTER_LEVELS,
     )
 
@@ -197,11 +215,14 @@ class GpLeaf:
         """Factorise C = K + sigma_n^2 I (jittered if it must be) and cache
         alpha = C^-1 y, the MLL and the jitter used."""
         n = self.n_train
-        k = _matern32(self.train_x, self.train_x, self.hyperparams)[0]
-        c = k + self.hyperparams.noise_variance * np.eye(n)
-        chol, self.jitter = _jittered_cholesky(c)
+        # a variance near overflow makes C non-finite, which the
+        # factorisation rejects; numpy need not warn about it on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _matern32(self.train_x, self.train_x, self.hyperparams)[0]
+            c.flat[:: n + 1] += self.hyperparams.noise_variance
+            chol, self.jitter = _jittered_cholesky(c)
         self.chol_factor = chol
-        self.alpha = cho_solve((chol, True), self.train_y)
+        self.alpha = cho_solve((chol, True), self.train_y, check_finite=False)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         self.cached_mll = -0.5 * (
             float(self.train_y @ self.alpha) + log_det + n * _LOG_2PI
@@ -260,7 +281,12 @@ class GpLeaf:
         self._require_fit()
         n = self.n_train
         d = self.n_dims
-        c_inv = cho_solve((self.chol_factor, True), np.eye(n))
+        # potri writes the lower triangle of C^-1 over a copy of the factor,
+        # whose upper triangle is zero: adding the transpose and halving the
+        # diagonal (both exact) fills in the rest
+        c_inv = lapack.dpotri(self.chol_factor, lower=1)[0]
+        c_inv = c_inv + c_inv.T
+        c_inv.flat[:: n + 1] *= 0.5
         a = np.outer(self.alpha, self.alpha) - c_inv
         hyper = self.hyperparams
         k, decay = _matern32(self.train_x, self.train_x, hyper)

@@ -183,8 +183,8 @@ def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) ->
     """Multivariate normal log density per row from one batched Cholesky.
 
     Only if that factorization fails are the rows factored one by one,
-    so jitter reaches just the rows that need it; every other row gets
-    the same unjittered factor as in the batched call.
+    so jitter reaches just the rows that need it; every other row is
+    still factored without jitter.
     """
     b, p = y.shape
     try:

@@ -36,7 +36,7 @@ from .circuit import (
     validate,
 )
 from .data_pipeline import PcaTransform, PipelineTransforms, Standardization
-from .errors import SchemaError
+from .errors import NumericalError, SchemaError
 from .gp_leaf import GpLeaf, KernelHyperparams
 
 SCHEMA_VERSION = 1
@@ -289,8 +289,13 @@ def model_from_dict(obj: dict) -> ModelBundle:
     # refitting reproduces the cached per-leaf state; stored posterior
     # weights are kept verbatim (renormalizing again would be a no-op
     # only for unchanged data, so it is not done here)
-    for _, node in circuit.leaves():
-        node.leaf.fit()
+    for node_id, node in circuit.leaves():
+        try:
+            node.leaf.fit()
+        except NumericalError as exc:
+            raise SchemaError(
+                f"leaf node {node_id} cannot be fitted with its stored hyperparameters: {exc}"
+            ) from None
     return ModelBundle(circuit, transforms, x, y, dict(extras))
 
 

@@ -98,6 +98,9 @@ class TrainReport:
     final_total_mll: float
     final_root_log_evidence: float
     stopped_early: bool
+    # leaves whose final fit needed diagonal jitter, and the largest it took
+    jittered_leaves: int
+    max_jitter: float
     wall_time: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -232,6 +235,8 @@ def train(
         final_total_mll=best_total,
         final_root_log_evidence=root_log_evidence,
         stopped_early=stopped_early,
+        jittered_leaves=sum(leaf.jitter > 0.0 for leaf in leaves),
+        max_jitter=max((leaf.jitter for leaf in leaves), default=0.0),
         wall_time=times,
     )
     return circuit, report

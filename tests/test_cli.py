@@ -356,6 +356,10 @@ def corrupt(doc, corruption):
     if corruption == "unreachable_node":
         doc["nodes"].append(dict(leaf))
         return "unreachable"
+    if corruption.startswith("log_signal_variance_"):
+        # 709 overflows inside the kernel, 710 already in exp itself
+        leaf["hyperparams"]["log_signal_variance"] = float(corruption.rsplit("_", 1)[1])
+        return f"leaf node {doc['nodes'].index(leaf)} "
     if corruption == "transforms_not_object":
         doc["transforms"] = ["standardization"]
         return "transforms"
@@ -400,8 +404,11 @@ def corrupt(doc, corruption):
         "x_std_negative",
         "transforms_not_object",
         "extras_not_object",
+        "log_signal_variance_709",
+        "log_signal_variance_710",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corruption):
     model, csv_path, _ = trained_model
     doc = json.loads(model.read_text())
@@ -413,6 +420,7 @@ def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corrupti
     assert run(["predict", bad, covars, "--out", tmp_path / "p.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR invalid:") and message in err
+    assert len(err.splitlines()) == 1, err
     assert not (tmp_path / "p.csv").exists()
 
 

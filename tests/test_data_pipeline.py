@@ -114,6 +114,27 @@ def test_covariate_width_is_checked_where_transforms_apply():
         apply_standardization(narrow, stats)
 
 
+def test_output_width_is_checked_where_transforms_apply():
+    rng = np.random.default_rng(0)
+    _, stats = standardize(Dataset(rng.normal(size=(10, 3)), rng.normal(size=(10, 2))))
+    pipe = PipelineTransforms(standardization=stats)
+    with pytest.raises(ValueError, match=r"y has shape \(4, 1\).* 2 outputs"):
+        pipe.transform_y(np.zeros((4, 1)))
+    with pytest.raises(ValueError, match=r"mean has shape \(4, 3\).* 2 outputs"):
+        pipe.inverse_y_mean(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"mean has shape \(4, 1\)"):
+        pipe.inverse_y_mean(np.zeros((4, 1)))
+    for bad in (np.zeros((4, 1, 1)), np.zeros((4, 2, 1)), np.zeros(2)):
+        with pytest.raises(ValueError, match="covariance has shape"):
+            pipe.inverse_y_cov(bad)
+    # the right widths still go through, one row or many, and targetless y passes
+    assert pipe.transform_y(np.zeros((4, 2))).shape == (4, 2)
+    assert pipe.transform_y(np.zeros((4, 0))).shape == (4, 0)
+    assert pipe.inverse_y_mean(np.zeros(2)).shape == (2,)
+    assert pipe.inverse_y_cov(np.zeros((4, 2, 2))).shape == (4, 2, 2)
+    assert pipe.inverse_y_cov(np.eye(2)).shape == (2, 2)
+
+
 def test_standardize_constant_column_warns_and_keeps_scale():
     x = np.ones((10, 2))
     x[:, 1] = np.arange(10.0)

@@ -1,13 +1,20 @@
 """Kernel and single-output GP expert tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from momogp.errors import NotFittedError
-from momogp.gp_leaf import JITTER_LEVELS, GpLeaf, KernelHyperparams, _matern32
+from momogp.errors import NotFittedError, NumericalError
+from momogp.gp_leaf import (
+    JITTER_LEVELS,
+    GpLeaf,
+    KernelHyperparams,
+    _jittered_cholesky,
+    _matern32,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -167,6 +174,26 @@ def test_jitter_escalates_on_duplicate_rows():
     assert leaf.is_fitted() and math.isfinite(leaf.cached_mll)
 
 
+def test_factor_is_lower_triangular_with_zero_upper_triangle():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(30, 30))
+    healthy = a @ a.T + 30.0 * np.eye(30)
+    u = rng.normal(size=(30, 1))
+    singular = u @ u.T  # rank 1: only a jitter level factors it
+    for c, jittered in ((healthy, False), (singular, True)):
+        chol, jitter = _jittered_cholesky(c)
+        assert (jitter > 0.0) == jittered
+        assert np.all(np.triu(chol, 1) == 0.0)
+        np.testing.assert_allclose(chol @ chol.T, c + jitter * np.eye(30), atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [-np.eye(3), np.full((3, 3), np.nan)], ids=["negative", "nan"])
+def test_unfactorable_matrix_lists_every_jitter_level(c):
+    with pytest.raises(NumericalError, match=re.escape(str(list(JITTER_LEVELS)))) as info:
+        _jittered_cholesky(c)
+    assert info.value.jitter_levels == JITTER_LEVELS
+
+
 def test_no_jitter_on_well_conditioned_system():
     rng = np.random.default_rng(6)
     leaf = random_leaf(rng)
@@ -233,6 +260,23 @@ def test_gradient_matches_loop_reference(offset):
         ref = oracles.loop_gradient(leaf)
         err = np.max(np.abs(leaf.mll_gradient() - ref)) / np.max(np.abs(ref))
         assert err < 1e-9, (n, d, err)
+
+
+def test_jittered_gradient_matches_loop_reference():
+    # the inverse comes from the jittered factor; the oracle inverts that
+    # same factor by triangular solves, so it checks potri independently.
+    # Jitter 1e-8 leaves C with a condition number near 6e8, and roundoff
+    # alone then puts ~1e-8 between two correct gradients (the triangular-solve
+    # inverse sat 3.4e-8 from the oracle here), so this bound is wider than
+    # the 1e-9 of the well-conditioned leaves; a wrong inverse moves it at O(1)
+    rng = np.random.default_rng(1)
+    x = np.repeat(rng.normal(size=(4, 2)), 3, axis=0)
+    y = np.sin(x.sum(axis=1))
+    leaf = GpLeaf(0, x, y, unit_hyper(2, log_noise=-60.0)).fit()
+    assert leaf.jitter > 0.0
+    ref = oracles.loop_gradient(leaf)
+    err = np.max(np.abs(leaf.mll_gradient() - ref)) / np.max(np.abs(ref))
+    assert err < 1e-6, err
 
 
 def test_refit_swaps_hyperparams():

@@ -147,6 +147,19 @@ def test_report_to_dict_keys():
         "final_total_mll",
         "final_root_log_evidence",
         "stopped_early",
+        "jittered_leaves",
+        "max_jitter",
         "wall_time",
     ):
         assert key in d
+    assert (d["jittered_leaves"], d["max_jitter"]) == (0, 0.0)
+
+    # duplicated covariates with near-zero noise: every final fit needs jitter
+    x = np.repeat(np.arange(6.0)[:, None], 5, axis=0)
+    y = np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 0])])
+    circuit = build(Dataset(x, y), StructureConfig(leaf_threshold=10, rng_seed=0))
+    cfg = TrainConfig(max_epochs=0, init_noise_variance=1e-26, rng_seed=0)
+    _, report = train(circuit, cfg=cfg, threads=1)
+    jitters = [node.leaf.jitter for _, node in circuit.leaves()]
+    assert report.jittered_leaves == len(jitters) == report.leaf_count
+    assert report.max_jitter == max(jitters) > 0.0
