@@ -1,6 +1,6 @@
 """Circuit construction over rectangular covariate regions.
 
-The model is a rooted tree of four node kinds:
+The model is a rooted DAG of four node kinds:
 
 * Sum: a mixture whose children all model the same outputs on the
   same region (log weights attached to the edges).
@@ -11,11 +11,18 @@ The model is a rooted tree of four node kinds:
 * Leaf: a single-output GP expert on the node's region.
 
 Nodes live in one array and are addressed by id. The ids are the
-topological order: every child id is lower than its parent's, and
-every node except the root has exactly one parent (so the root is the
-last node). The builder adds children first, and ``validate`` checks
-this rule for built and loaded circuits alike, so every bottom-up pass
-is a plain loop over the ids.
+topological order: every child id is lower than its parent's, every
+node except the root has at least one parent and the root has none (so
+the root is the last node). The builder adds children first, and
+``validate`` checks this rule for built and loaded circuits alike, so
+every bottom-up pass is a plain loop over the ids.
+
+Leaves are shared. Every split uses half-open boxes, so splitting
+dimension a then b gives the same cells as b then a; a leaf's training
+rows follow from its region, and the builder keeps one leaf per
+(region, output) pair however many output partitions reach it. A shared leaf is one
+GP problem, fitted, stored and queried once. Inner nodes are never
+shared: each output partition draws its own random split.
 
 Construction recursively alternates Sum -> ProductX -> ProductY until
 a subset is small enough (at most ``leaf_threshold`` observations) to
@@ -200,6 +207,7 @@ class _Builder:
         self.cfg = cfg
         self.nodes: list = []
         self.y_stream = 0  # deterministic per-partition RNG stream counter
+        self.leaf_by_key: dict[tuple, int] = {}  # (region bounds, output) -> leaf id
 
     def add(self, node) -> int:
         self.nodes.append(node)
@@ -293,6 +301,10 @@ class _Builder:
         return self.add(ProductYNode(children, scope, region, int(rows.size)))
 
     def add_leaf(self, region: Region, rows: np.ndarray, output: int) -> int:
+        """The leaf of (region, output), added on first request and shared after."""
+        key = (tuple(region.lower.tolist()), tuple(region.upper.tolist()), output)
+        if key in self.leaf_by_key:
+            return self.leaf_by_key[key]
         hyper = KernelHyperparams(
             np.zeros(self.x.shape[1]), 0.0, _DEFAULT_LOG_NOISE
         )
@@ -303,7 +315,10 @@ class _Builder:
             hyperparams=hyper,
             row_idx=rows.copy(),
         )
-        return self.add(LeafNode(leaf, frozenset([output]), region, int(rows.size)))
+        self.leaf_by_key[key] = self.add(
+            LeafNode(leaf, frozenset([output]), region, int(rows.size))
+        )
+        return self.leaf_by_key[key]
 
 
 def _checked_training_data(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -339,8 +354,13 @@ def _box(region: Region) -> tuple[list, list]:
 
 
 def _check_ids(circuit: Circuit) -> list[str]:
-    """The id rule: child ids lie in [0, parent id) and every node but the root
-    has exactly one parent; also the node kinds and region widths."""
+    """The id rule: child ids lie in [0, parent id), no node lists a child
+    twice, every node but the root has a parent and the root has none; also
+    the node kinds and region widths.
+
+    With ids in topological order, a parent for every other node makes every
+    node reachable from the root.
+    """
     nodes = circuit.nodes
     n = len(nodes)
     problems: list[str] = []
@@ -356,6 +376,9 @@ def _check_ids(circuit: Circuit) -> list[str]:
         if not all(0 <= c < i for c in node.children):
             problems.append(f"node {i}: child ids must lie in [0, {i})")
             continue
+        if len(set(node.children)) != len(node.children):
+            repeated = next(c for c in node.children if node.children.count(c) > 1)
+            problems.append(f"node {i}: lists child {repeated} twice")
         for c in node.children:
             parents[c] += 1
     for i, count in enumerate(parents):
@@ -364,8 +387,6 @@ def _check_ids(circuit: Circuit) -> list[str]:
                 problems.append(f"node {i}: the root has a parent")
         elif count == 0:
             problems.append(f"node {i}: no parent, so unreachable from the root")
-        elif count > 1:
-            problems.append(f"node {i}: {count} parents, so not a tree")
     return problems
 
 

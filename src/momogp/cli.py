@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     def training_flags(p):
         config_flag(p)
         p.add_argument("--seed", type=int, help="override all RNG seeds")
-        p.add_argument("--threads", type=int, help="worker threads for leaf fits")
+        p.add_argument("--threads", type=int, help="worker threads for leaf fits (default 1)")
 
     p_train = sub.add_parser("train", help="fit a model from a CSV")
     training_flags(p_train)

@@ -85,7 +85,10 @@ class KernelHyperparams:
 
     @property
     def lengthscales(self) -> np.ndarray:
-        return np.exp(self.log_lengthscales)
+        # a lengthscale too large to hold is infinite, and the kernel then
+        # ignores that covariate, which is the limit of a growing lengthscale
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_lengthscales)
 
     @property
     def signal_variance(self) -> float:

@@ -75,11 +75,25 @@ def _route(node: ProductXNode, x: np.ndarray) -> np.ndarray:
     return np.searchsorted(interior, x[:, dim], side="right")
 
 
+def _leaf_posterior(
+    node_id: int, node: LeafNode, x: np.ndarray, include_noise: bool, cache: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """A leaf's (B,) posterior means and variances, computed once per pass.
+
+    Every parent of a shared leaf hands it the same rows in the same
+    order, the query rows inside its region, so one result serves them all.
+    """
+    if node_id not in cache:
+        cache[node_id] = node.leaf.posterior_batch(x, include_noise=include_noise)
+    return cache[node_id]
+
+
 def _moments(
     circuit: Circuit,
     node_id: int,
     x: np.ndarray,
     include_noise: bool,
+    leaf_cache: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched (B,P) means and (B,P,P) covariances in full output space.
 
@@ -90,7 +104,7 @@ def _moments(
     b = x.shape[0]
     p = circuit.n_outputs
     if isinstance(node, LeafNode):
-        mean, var = node.leaf.posterior_batch(x, include_noise=include_noise)
+        mean, var = _leaf_posterior(node_id, node, x, include_noise, leaf_cache)
         out_mean = np.zeros((b, p))
         out_cov = np.zeros((b, p, p))
         idx = node.leaf.scope_output
@@ -103,7 +117,7 @@ def _moments(
         # children have disjoint scopes: blocks add without overlap, and
         # cross-output covariance between blocks is exactly zero
         for child in node.children:
-            c_mean, c_cov = _moments(circuit, child, x, include_noise)
+            c_mean, c_cov = _moments(circuit, child, x, include_noise, leaf_cache)
             out_mean += c_mean
             out_cov += c_cov
         return out_mean, out_cov
@@ -115,7 +129,7 @@ def _moments(
             mask = assignment == j
             if not np.any(mask):
                 continue
-            c_mean, c_cov = _moments(circuit, child, x[mask], include_noise)
+            c_mean, c_cov = _moments(circuit, child, x[mask], include_noise, leaf_cache)
             out_mean[mask] = c_mean
             out_cov[mask] = c_cov
         return out_mean, out_cov
@@ -124,7 +138,7 @@ def _moments(
     child_means = []
     child_covs = []
     for child in node.children:
-        c_mean, c_cov = _moments(circuit, child, x, include_noise)
+        c_mean, c_cov = _moments(circuit, child, x, include_noise, leaf_cache)
         child_means.append(c_mean)
         child_covs.append(c_cov)
     stacked_means = np.stack(child_means)  # (K, B, P)
@@ -145,7 +159,7 @@ def _root_moments(
     variances, so zeroing the off-diagonals once here gives the same
     numbers as zeroing them at every sum.
     """
-    means, covs = _moments(circuit, circuit.root, x, include_noise)
+    means, covs = _moments(circuit, circuit.root, x, include_noise, {})
     if not cross_covariance:
         diag = np.einsum("bpp->bp", covs)
         covs = np.zeros_like(covs)
@@ -210,7 +224,7 @@ def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) ->
 
 
 def _log_density_exact(
-    circuit: Circuit, node_id: int, x: np.ndarray, y: np.ndarray
+    circuit: Circuit, node_id: int, x: np.ndarray, y: np.ndarray, leaf_cache: dict
 ) -> np.ndarray:
     """Exact mixture log density, computed by circuit recursion.
 
@@ -220,13 +234,13 @@ def _log_density_exact(
     """
     node = circuit.nodes[node_id]
     if isinstance(node, LeafNode):
-        mean, var = node.leaf.posterior_batch(x, include_noise=True)
+        mean, var = _leaf_posterior(node_id, node, x, True, leaf_cache)
         target = y[:, node.leaf.scope_output]
         return -0.5 * ((target - mean) ** 2 / var + np.log(var) + _LOG_2PI)
     if isinstance(node, ProductYNode):
         total = np.zeros(x.shape[0])
         for child in node.children:
-            total += _log_density_exact(circuit, child, x, y)
+            total += _log_density_exact(circuit, child, x, y, leaf_cache)
         return total
     if isinstance(node, ProductXNode):
         out = np.empty(x.shape[0])
@@ -235,11 +249,11 @@ def _log_density_exact(
             mask = assignment == j
             if not np.any(mask):
                 continue
-            out[mask] = _log_density_exact(circuit, child, x[mask], y[mask])
+            out[mask] = _log_density_exact(circuit, child, x[mask], y[mask], leaf_cache)
         return out
     stacked = np.stack(
         [
-            node.log_weights[k] + _log_density_exact(circuit, child, x, y)
+            node.log_weights[k] + _log_density_exact(circuit, child, x, y, leaf_cache)
             for k, child in enumerate(node.children)
         ]
     )
@@ -279,4 +293,4 @@ def log_predictive_density_batch(
         raise CapacityError(
             f"exact mixture density over {n_trees} induced trees exceeds the cap {tree_cap}"
         )
-    return _log_density_exact(circuit, circuit.root, x, y)
+    return _log_density_exact(circuit, circuit.root, x, y, {})

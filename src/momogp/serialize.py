@@ -5,8 +5,9 @@ array positions), the training matrices in pipeline space, the fitted
 preprocessing transforms and the structure config. Leaves store kernel
 hyperparameters plus the row indices of their training subset, so the
 heavy per-leaf state (Cholesky factor, alpha) is reproduced exactly by
-refitting on load rather than stored. A loaded circuit goes through the
-same ``validate`` as a built one before any leaf is refitted.
+refitting on load rather than stored. A leaf that several nodes share is
+one entry, refitted once. A loaded circuit goes through the same
+``validate`` as a built one before any leaf is refitted.
 
 Serialisation is byte-deterministic: keys are sorted and floats use
 Python's shortest round-trip repr. Writes go to a temp file in the

@@ -8,20 +8,21 @@ one. Once the leaves are fitted, the mixture weights are renormalized
 to their posterior values.
 
 Initial lengthscales are Gamma draws from a per-leaf seeded stream, so
-results do not depend on leaf processing order or thread count.
+results do not depend on leaf processing order or thread count. A leaf
+shared by several parents is one GP problem: it is fitted once per
+epoch and draws from the stream of its first reference.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, LeafNode
 from .errors import NumericalError
 from .gp_leaf import GpLeaf, KernelHyperparams
 from .inference import compute_evidence, renormalize
@@ -113,19 +114,35 @@ def init_hyperparams(
     """Seeded initial kernel parameters, one independent stream per leaf slot."""
     if leaf_count < 0 or n_dims < 1:
         raise ValueError("leaf_count must be >= 0 and n_dims >= 1")
-    scale = 1.0 / cfg.init_gamma_rate
-    log_sf2 = math.log(cfg.init_signal_variance)
-    log_noise = math.log(cfg.init_noise_variance)
-    out = []
-    for i in range(leaf_count):
-        # spawn_key (1, i): stream 1 is reserved for training so the
-        # structure builder's streams (key 0) never collide with these
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.rng_seed, spawn_key=(1, i))
-        )
-        lengthscales = rng.gamma(cfg.init_gamma_shape, scale, size=n_dims)
-        out.append(KernelHyperparams(np.log(lengthscales), log_sf2, log_noise))
-    return out
+    return [_initial_draw(slot, n_dims, cfg) for slot in range(leaf_count)]
+
+
+def _initial_draw(slot: int, n_dims: int, cfg: TrainConfig) -> KernelHyperparams:
+    # spawn_key (1, slot): stream 1 is reserved for training so the
+    # structure builder's streams (key 0) never collide with these
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(1, slot)))
+    lengthscales = rng.gamma(cfg.init_gamma_shape, 1.0 / cfg.init_gamma_rate, size=n_dims)
+    return KernelHyperparams(
+        np.log(lengthscales),
+        math.log(cfg.init_signal_variance),
+        math.log(cfg.init_noise_variance),
+    )
+
+
+def _first_reference_slots(circuit: Circuit) -> dict[int, int]:
+    """Leaf id -> the slot of its first reference.
+
+    References are counted parent by parent in id order, children in list
+    order (a leaf root counts as the last reference). On a tree every leaf
+    has one reference and these are the leaf slots in id order; a shared
+    leaf keeps the draw its first copy would have had in the tree.
+    """
+    refs = [c for node in circuit.nodes for c in getattr(node, "children", ())]
+    leaf_refs = [i for i in refs + [circuit.root] if isinstance(circuit.nodes[i], LeafNode)]
+    slots: dict[int, int] = {}
+    for slot, leaf_id in enumerate(leaf_refs):
+        slots.setdefault(leaf_id, slot)
+    return slots
 
 
 def _fit_mll(leaf: GpLeaf) -> float:
@@ -148,21 +165,22 @@ def train(
     """Fit every leaf, optimise, restore the best snapshot, renormalize.
 
     ``data`` is accepted for interface symmetry and only sanity-checked:
-    the leaves already carry their training subsets. ``threads`` > 1
-    fans leaf fits over a thread pool (identical numerical results).
+    the leaves already carry their training subsets. Leaf fits run on one
+    worker unless ``threads`` > 1 asks for a thread pool (identical
+    numerical results).
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
     if data is not None and getattr(data, "n_dims", circuit.n_dims) != circuit.n_dims:
         raise ValueError("data dimensionality disagrees with the circuit")
-    leaves = [circuit.nodes[i].leaf for i in circuit.leaf_ids()]
+    leaf_ids = circuit.leaf_ids()
+    leaves = [circuit.nodes[i].leaf for i in leaf_ids]
     n_leaves = len(leaves)
     n_params = circuit.n_dims + 2
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    workers = threads if threads and threads > 0 else min(8, os.cpu_count() or 1)
-    workers = min(workers, max(n_leaves, 1))
+    workers = min(threads or 1, max(n_leaves, 1))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     leaf_map = pool.map if pool is not None else map
 
@@ -172,8 +190,9 @@ def train(
         return float(np.sum(np.fromiter(leaf_map(_fit_mll, leaves), float, n_leaves)))
 
     try:
+        slots = _first_reference_slots(circuit)
         theta = np.array(
-            [h.to_vector() for h in init_hyperparams(n_leaves, circuit.n_dims, cfg)]
+            [_initial_draw(slots[i], circuit.n_dims, cfg).to_vector() for i in leaf_ids]
         ).reshape(n_leaves, n_params)
         initial_total = fit_all(theta)
         times["init"] = time.perf_counter() - t0

@@ -6,6 +6,7 @@ recursion over every induced tree instead of the circuit recursions.
 Agreement between these and the fast paths is what the tests assert.
 """
 
+import copy
 import math
 from dataclasses import replace
 
@@ -121,6 +122,26 @@ def loop_gradient(leaf) -> np.ndarray:
 
 
 # ------------------------------------------------------------ tree expansion
+
+
+def unshare(circuit: Circuit) -> Circuit:
+    """The same model as a tree: every node deep-copied once per path from the
+    root, so each shared leaf gets one copy per reference.
+
+    Nodes are added children first in list order, as the builder adds them,
+    so the ids are again a topological order.
+    """
+    nodes = []
+
+    def rec(node_id):
+        node = copy.deepcopy(circuit.nodes[node_id])
+        if not isinstance(node, LeafNode):
+            node.children = [rec(c) for c in node.children]
+        nodes.append(node)
+        return len(nodes) - 1
+
+    root = rec(circuit.root)
+    return Circuit(nodes, root, circuit.n_outputs, circuit.n_dims, replace(circuit.config))
 
 
 def enumerate_trees(circuit: Circuit):

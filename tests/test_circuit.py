@@ -254,7 +254,7 @@ def test_validate_flags_broken_links():
     dropped = root.children[1]
     root.children[1] = root.children[0]
     problems = validate(circuit)
-    assert f"node {root.children[0]}: 2 parents, so not a tree" in problems
+    assert f"node {circuit.root}: lists child {root.children[0]} twice" in problems
     assert f"node {dropped}: no parent, so unreachable from the root" in problems
 
     circuit = fresh()

@@ -335,7 +335,7 @@ def corrupt(doc, corruption):
     if corruption == "output_partition_repeats_child":
         split = next(n for n in doc["nodes"] if n["type"] == "product_y" and len(n["children"]) > 1)
         split["children"][1] = split["children"][0]
-        return "2 parents"
+        return "twice"
     if corruption == "cell_moved_off_child_region":
         split = next(n for n in doc["nodes"] if n["type"] == "product_x")
         first, second = split["child_regions"][:2]
@@ -349,7 +349,7 @@ def corrupt(doc, corruption):
         sums = [n for n in doc["nodes"] if n["type"] == "sum" and len(n["scope"]) == 1]
         other = next(n for n in sums if n["scope"] != sums[-1]["scope"])
         sums[-1]["children"][0] = other["children"][0]
-        return "2 parents"
+        return "unreachable"
     if corruption == "split_dim_out_of_range":
         next(n for n in doc["nodes"] if n["type"] == "product_x")["split_dim"] = 7
         return "split dimension"

@@ -217,6 +217,22 @@ def test_posterior_rejects_wrong_width():
         leaf.posterior_batch(np.zeros((3, 5)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_lengthscale_drops_its_covariate_quietly():
+    # exp(710) overflows to an infinite lengthscale: the covariate is ignored
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(10, 2))
+    y = np.sin(x[:, 0])
+    xq = rng.normal(size=(4, 2))
+    wide = GpLeaf(0, x, y, KernelHyperparams([0.3, 710.0], 0.2, -2.0)).fit()
+    mean, var = wide.posterior_batch(xq, include_noise=True)
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+    narrow = GpLeaf(0, x[:, :1], y, KernelHyperparams([0.3], 0.2, -2.0)).fit()
+    ref_mean, ref_var = narrow.posterior_batch(xq[:, :1], include_noise=True)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+    np.testing.assert_allclose(var, ref_var, rtol=1e-12)
+
+
 def test_leaf_shape_validation():
     with pytest.raises(ValueError):
         GpLeaf(0, np.zeros((3, 1)), np.zeros(4), unit_hyper(1))
