@@ -45,7 +45,7 @@ from .inference import (
 )
 from .metrics import EvalResult, mae, mean_nlpd, per_output_rmse, rmse
 from .serialize import ModelBundle, load_model, save_model
-from .training import TrainConfig, TrainReport, init_hyperparams, train
+from .training import TrainConfig, TrainReport, train
 
 __all__ = [
     "Circuit",
@@ -91,6 +91,5 @@ __all__ = [
     "save_model",
     "TrainConfig",
     "TrainReport",
-    "init_hyperparams",
     "train",
 ]

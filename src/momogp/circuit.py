@@ -35,7 +35,7 @@ output scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
@@ -45,6 +45,32 @@ from .gp_leaf import GpLeaf, KernelHyperparams
 
 # hard ceiling on the induced trees an exact mixture density may sum over
 TREE_ENUM_CAP = 10**6
+
+_FIELD_TYPES = {
+    "int": (int, np.integer),
+    "float": (int, float, np.integer, np.floating),
+    "bool": (bool,),
+}
+
+
+def _check_field_types(cfg) -> None:
+    """Reject a config value whose type disagrees with its field's annotation.
+
+    Bools and numbers do not pass for each other, reals must be finite
+    and ``Optional`` fields also take None; other fields are not checked.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        optional = f.type.startswith("Optional[")
+        kind = f.type[len("Optional["):-1] if optional else f.type
+        if kind not in _FIELD_TYPES or (optional and value is None):
+            continue
+        if (
+            isinstance(value, bool) != (kind == "bool")
+            or not isinstance(value, _FIELD_TYPES[kind])
+            or (kind == "float" and not math.isfinite(value))
+        ):
+            raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass
@@ -105,12 +131,13 @@ class StructureConfig:
     rng_seed: int = 0
 
     def validate(self):
+        _check_field_types(self)
         for name, low in (
             ("k_sum", 1), ("k_prod_x", 1), ("k_prod_y", 1), ("leaf_threshold", 1), ("rng_seed", 0)
         ):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass
@@ -119,7 +146,6 @@ class SumNode:
     log_weights: np.ndarray
     scope: frozenset[int]
     region: Region
-    n_rows: int
 
     def __post_init__(self):
         self.log_weights = np.asarray(self.log_weights, dtype=float)
@@ -134,7 +160,6 @@ class ProductXNode:
     split_dim: int
     scope: frozenset[int]
     region: Region
-    n_rows: int
 
 
 @dataclass
@@ -142,7 +167,6 @@ class ProductYNode:
     children: list[int]
     scope: frozenset[int]
     region: Region
-    n_rows: int
 
 
 @dataclass
@@ -150,7 +174,6 @@ class LeafNode:
     leaf: GpLeaf
     scope: frozenset[int]
     region: Region
-    n_rows: int
 
 
 Node = Union[SumNode, ProductXNode, ProductYNode, LeafNode]
@@ -223,7 +246,7 @@ class _Builder:
             for k in range(cfg.k_sum)
         ]
         log_w = np.full(cfg.k_sum, -math.log(cfg.k_sum))
-        return self.add(SumNode(children, log_w, scope, region, int(rows.size)))
+        return self.add(SumNode(children, log_w, scope, region))
 
     def build_prod_x(
         self, region: Region, rows: np.ndarray, scope: frozenset, dim: int
@@ -267,9 +290,7 @@ class _Builder:
             child_region = region.with_interval(dim, cell_lo, cell_hi)
             child_regions.append(child_region)
             children.append(self.build_prod_y(child_region, cell_rows, scope, True))
-        return self.add(
-            ProductXNode(children, child_regions, dim, scope, region, int(rows.size))
-        )
+        return self.add(ProductXNode(children, child_regions, dim, scope, region))
 
     def build_prod_y(
         self, region: Region, rows: np.ndarray, scope: frozenset, can_split_x: bool
@@ -298,7 +319,7 @@ class _Builder:
             ]
         else:
             children = [self.add_leaf(region, rows, p) for p in scope_sorted]
-        return self.add(ProductYNode(children, scope, region, int(rows.size)))
+        return self.add(ProductYNode(children, scope, region))
 
     def add_leaf(self, region: Region, rows: np.ndarray, output: int) -> int:
         """The leaf of (region, output), added on first request and shared after."""
@@ -315,9 +336,7 @@ class _Builder:
             hyperparams=hyper,
             row_idx=rows.copy(),
         )
-        self.leaf_by_key[key] = self.add(
-            LeafNode(leaf, frozenset([output]), region, int(rows.size))
-        )
+        self.leaf_by_key[key] = self.add(LeafNode(leaf, frozenset([output]), region))
         return self.leaf_by_key[key]
 
 

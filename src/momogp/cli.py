@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .circuit import StructureConfig, build, validate
+from .circuit import StructureConfig, _check_field_types, build, validate
 from .data_pipeline import (
     Dataset,
     PipelineTransforms,
@@ -60,7 +60,7 @@ from .serialize import (
     write_json_atomic,
     write_text_atomic,
 )
-from .training import TrainConfig, _check_field_types, train
+from .training import TrainConfig, train
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -123,8 +123,14 @@ def _apply_section(target, section, label: str):
         setattr(target, key, value)
 
 
-def load_run_config(path: Optional[str], cfg: RunConfig) -> RunConfig:
-    """Apply the config file at ``path``, if any, over the defaults ``cfg``."""
+def load_run_config(
+    path: Optional[str], cfg: RunConfig, command: str = "", unread: tuple[str, ...] = ()
+) -> RunConfig:
+    """Apply the config file at ``path``, if any, over the defaults ``cfg``.
+
+    ``unread`` names pipeline keys that ``command`` never reads; a file
+    that sets one is refused rather than echoed as if it took effect.
+    """
     if path is None:
         return cfg
     with open(path) as fh:
@@ -142,7 +148,11 @@ def load_run_config(path: Optional[str], cfg: RunConfig) -> RunConfig:
             raise SchemaError(f"{path}: unknown config section {section!r}")
     for section in ("structure", "training"):
         _apply_section(getattr(cfg, section), obj.get(section, {}), section)
-    _apply_section(cfg, obj.get("pipeline", {}), "pipeline")
+    pipeline = obj.get("pipeline", {})
+    _apply_section(cfg, pipeline, "pipeline")
+    for key in unread:
+        if key in pipeline:
+            raise SchemaError(f"{command} does not read pipeline.{key}")
     return cfg
 
 
@@ -308,9 +318,14 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+# upsample takes its outputs from the image and scores no holdout or density
+_UPSAMPLE_UNREAD = ("n_outputs", "test_fraction", "split_seed", "nlpd_mode")
+
+
 def cmd_upsample(args) -> int:
     defaults = RunConfig(structure=StructureConfig(leaf_threshold=256))
-    cfg = _merge_overrides(load_run_config(args.config, defaults), args)
+    cfg = load_run_config(args.config, defaults, "upsample", _UPSAMPLE_UNREAD)
+    cfg = _merge_overrides(cfg, args)
     if args.factor < 2:
         raise SchemaError("--factor must be >= 2")
     img = read_ppm(args.in_ppm)

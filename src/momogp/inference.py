@@ -11,10 +11,16 @@ into posterior ones:
 after which every sum's weights sum to one and the circuit is a proper
 mixture over its induced trees.
 
-Prediction moment-matches that mixture: products concatenate
-(output partitions) or route (covariate partitions) their children's
-Gaussian moments, and a sum collapses its children to a single
-Gaussian with the law-of-total-(co)variance correction.
+Prediction and the exact density are one traversal, ``_fold``: a
+product multiplies its children's independent densities and a sum
+mixes them, so both walk the circuit the same way. A covariate split
+hands each cell's query rows to that child, an output partition adds
+its children, and every leaf reached computes its GP posterior once.
+Only the leaf and sum steps differ. For the moments a leaf places its
+mean and variance in its output's slot and a sum collapses its
+children to one Gaussian with the law-of-total-(co)variance
+correction; for the exact density a leaf scores its output's Gaussian
+and a sum log-sum-exps its weighted children.
 """
 
 from __future__ import annotations
@@ -66,100 +72,106 @@ def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
     return float(z[circuit.root])
 
 
-def _route(node: ProductXNode, x: np.ndarray) -> np.ndarray:
-    """Child index per row. Cells are half-open, so a value equal to an
-    interior edge routes right; anything at or beyond the last edge goes
-    to the last cell."""
+def _route(node: ProductXNode, column: np.ndarray) -> np.ndarray:
+    """Child index per value of the split dimension. Cells are half-open,
+    so a value equal to an interior edge routes right; anything at or
+    beyond the last edge goes to the last cell."""
     dim = node.split_dim
     interior = np.asarray([r.upper[dim] for r in node.child_regions[:-1]])
-    return np.searchsorted(interior, x[:, dim], side="right")
+    return np.searchsorted(interior, column, side="right")
 
 
-def _leaf_posterior(
-    node_id: int, node: LeafNode, x: np.ndarray, include_noise: bool, cache: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """A leaf's (B,) posterior means and variances, computed once per pass.
+class _Fold:
+    """One bottom-up evaluation of the circuit over the query rows ``x``.
 
-    Every parent of a shared leaf hands it the same rows in the same
-    order, the query rows inside its region, so one result serves them all.
+    Every node returns a tuple of arrays whose first axis runs over the
+    rows it was handed. A leaf maps its (B,) posterior means and variances
+    through ``at_leaf(node, rows, mean, var)``; a sum combines its
+    children's tuples with ``at_sum(node, parts)``. The rest is shared:
+    an output partition adds its children (independent factors), and a
+    covariate split hands each child the rows in its cell, skips empty
+    cells and scatters the results back.
+
+    Each leaf's posterior is computed once per pass: every parent of a
+    shared leaf hands it the same rows in the same order, the query rows
+    inside its region. (A class rather than a recursive closure, whose
+    reference cycle would keep those posteriors alive until the next
+    full garbage collection.)
     """
-    if node_id not in cache:
-        cache[node_id] = node.leaf.posterior_batch(x, include_noise=include_noise)
-    return cache[node_id]
 
+    def __init__(self, circuit: Circuit, x: np.ndarray, include_noise: bool, at_leaf, at_sum):
+        self.nodes = circuit.nodes
+        self.x = x
+        self.include_noise = include_noise
+        self.at_leaf = at_leaf
+        self.at_sum = at_sum
+        self.posteriors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-def _moments(
-    circuit: Circuit,
-    node_id: int,
-    x: np.ndarray,
-    include_noise: bool,
-    leaf_cache: dict,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (B,P) means and (B,P,P) covariances in full output space.
-
-    Entries outside the node's scope stay zero; parents scatter their
-    children's blocks into place.
-    """
-    node = circuit.nodes[node_id]
-    b = x.shape[0]
-    p = circuit.n_outputs
-    if isinstance(node, LeafNode):
-        mean, var = _leaf_posterior(node_id, node, x, include_noise, leaf_cache)
-        out_mean = np.zeros((b, p))
-        out_cov = np.zeros((b, p, p))
-        idx = node.leaf.scope_output
-        out_mean[:, idx] = mean
-        out_cov[:, idx, idx] = var
-        return out_mean, out_cov
-    if isinstance(node, ProductYNode):
-        out_mean = np.zeros((b, p))
-        out_cov = np.zeros((b, p, p))
-        # children have disjoint scopes: blocks add without overlap, and
-        # cross-output covariance between blocks is exactly zero
-        for child in node.children:
-            c_mean, c_cov = _moments(circuit, child, x, include_noise, leaf_cache)
-            out_mean += c_mean
-            out_cov += c_cov
-        return out_mean, out_cov
-    if isinstance(node, ProductXNode):
-        out_mean = np.zeros((b, p))
-        out_cov = np.zeros((b, p, p))
-        assignment = _route(node, x)
+    def visit(self, node_id: int, rows: np.ndarray) -> tuple:
+        node = self.nodes[node_id]
+        if isinstance(node, LeafNode):
+            posteriors = self.posteriors
+            if node_id not in posteriors:
+                posteriors[node_id] = node.leaf.posterior_batch(self.x[rows], self.include_noise)
+            return self.at_leaf(node, rows, *posteriors[node_id])
+        if isinstance(node, SumNode):
+            return self.at_sum(node, [self.visit(child, rows) for child in node.children])
+        if isinstance(node, ProductYNode):
+            return tuple(map(sum, zip(*[self.visit(child, rows) for child in node.children])))
+        assignment = _route(node, self.x[rows, node.split_dim])
+        out = None
         for j, child in enumerate(node.children):
             mask = assignment == j
-            if not np.any(mask):
+            # an empty batch visits every cell, so every node still returns its shapes
+            if rows.size and not mask.any():
                 continue
-            c_mean, c_cov = _moments(circuit, child, x[mask], include_noise, leaf_cache)
-            out_mean[mask] = c_mean
-            out_cov[mask] = c_cov
-        return out_mean, out_cov
-    # sum node: moment-match the mixture of the children
-    weights = np.exp(node.log_weights)
-    child_means = []
-    child_covs = []
-    for child in node.children:
-        c_mean, c_cov = _moments(circuit, child, x, include_noise, leaf_cache)
-        child_means.append(c_mean)
-        child_covs.append(c_cov)
-    stacked_means = np.stack(child_means)  # (K, B, P)
-    stacked_covs = np.stack(child_covs)  # (K, B, P, P)
-    mix_mean = np.einsum("k,kbp->bp", weights, stacked_means)
-    centered = stacked_means - mix_mean[None, :, :]
-    spread = np.einsum("kbp,kbq->kbpq", centered, centered)
-    mix_cov = np.einsum("k,kbpq->bpq", weights, stacked_covs + spread)
-    return mix_mean, mix_cov
+            part = self.visit(child, rows[mask])
+            if out is None:
+                out = tuple([np.empty((rows.size,) + a.shape[1:]) for a in part])
+            for o, a in zip(out, part):
+                o[mask] = a
+        return out
+
+
+def _fold(circuit: Circuit, x: np.ndarray, include_noise: bool, at_leaf, at_sum) -> tuple:
+    """The root's result of one ``_Fold`` pass over every row of ``x``."""
+    rows = np.arange(x.shape[0])
+    return _Fold(circuit, x, include_noise, at_leaf, at_sum).visit(circuit.root, rows)
 
 
 def _root_moments(
     circuit: Circuit, x: np.ndarray, include_noise: bool, cross_covariance: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Moments at the root; ``cross_covariance=False`` keeps only the variances.
+    """Batched (B,P) means and (B,P,P) covariances at the root.
 
-    A mixture's variances depend only on its children's means and
-    variances, so zeroing the off-diagonals once here gives the same
-    numbers as zeroing them at every sum.
+    Each node's moments live in full output space, zero outside its
+    scope, so an output partition's sum places its children's blocks;
+    a sum moment-matches its children's mixture. ``cross_covariance=False``
+    keeps only the variances: a mixture's variances depend only on its
+    children's means and variances, so zeroing the off-diagonals once
+    here gives the same numbers as zeroing them at every sum.
     """
-    means, covs = _moments(circuit, circuit.root, x, include_noise, {})
+    p = circuit.n_outputs
+
+    def at_leaf(node, rows, mean, var):
+        out_mean = np.zeros((rows.size, p))
+        out_cov = np.zeros((rows.size, p, p))
+        idx = node.leaf.scope_output
+        out_mean[:, idx] = mean
+        out_cov[:, idx, idx] = var
+        return out_mean, out_cov
+
+    def at_sum(node, parts):
+        weights = np.exp(node.log_weights)
+        stacked_means = np.stack([m for m, _ in parts])  # (K, B, P)
+        stacked_covs = np.stack([c for _, c in parts])  # (K, B, P, P)
+        mix_mean = np.einsum("k,kbp->bp", weights, stacked_means)
+        centered = stacked_means - mix_mean[None, :, :]
+        spread = np.einsum("kbp,kbq->kbpq", centered, centered)
+        mix_cov = np.einsum("k,kbpq->bpq", weights, stacked_covs + spread)
+        return mix_mean, mix_cov
+
+    means, covs = _fold(circuit, x, include_noise, at_leaf, at_sum)
     if not cross_covariance:
         diag = np.einsum("bpp->bp", covs)
         covs = np.zeros_like(covs)
@@ -223,41 +235,24 @@ def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) ->
     return -0.5 * np.sum(v * v, axis=1) - half_log_det - 0.5 * p * _LOG_2PI
 
 
-def _log_density_exact(
-    circuit: Circuit, node_id: int, x: np.ndarray, y: np.ndarray, leaf_cache: dict
-) -> np.ndarray:
-    """Exact mixture log density, computed by circuit recursion.
+def _log_density_exact(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact mixture log density of each row.
 
     Equal to enumerating every induced tree, weighting each tree's
-    product of leaf densities by its posterior prior; the recursion is
-    the same quantity computed in linear time.
+    product of leaf densities by its posterior prior; one pass computes
+    the same quantity in linear time. A leaf scores its output's Gaussian
+    and a sum log-sum-exps its weighted children.
     """
-    node = circuit.nodes[node_id]
-    if isinstance(node, LeafNode):
-        mean, var = _leaf_posterior(node_id, node, x, True, leaf_cache)
-        target = y[:, node.leaf.scope_output]
-        return -0.5 * ((target - mean) ** 2 / var + np.log(var) + _LOG_2PI)
-    if isinstance(node, ProductYNode):
-        total = np.zeros(x.shape[0])
-        for child in node.children:
-            total += _log_density_exact(circuit, child, x, y, leaf_cache)
-        return total
-    if isinstance(node, ProductXNode):
-        out = np.empty(x.shape[0])
-        assignment = _route(node, x)
-        for j, child in enumerate(node.children):
-            mask = assignment == j
-            if not np.any(mask):
-                continue
-            out[mask] = _log_density_exact(circuit, child, x[mask], y[mask], leaf_cache)
-        return out
-    stacked = np.stack(
-        [
-            node.log_weights[k] + _log_density_exact(circuit, child, x, y, leaf_cache)
-            for k, child in enumerate(node.children)
-        ]
-    )
-    return logsumexp(stacked, axis=0)
+
+    def at_leaf(node, rows, mean, var):
+        target = y[rows, node.leaf.scope_output]
+        return (-0.5 * ((target - mean) ** 2 / var + np.log(var) + _LOG_2PI),)
+
+    def at_sum(node, parts):
+        stacked = np.stack([node.log_weights[k] + part for k, (part,) in enumerate(parts)])
+        return (logsumexp(stacked, axis=0),)
+
+    return _fold(circuit, x, True, at_leaf, at_sum)[0]
 
 
 def log_predictive_density_batch(
@@ -293,4 +288,4 @@ def log_predictive_density_batch(
         raise CapacityError(
             f"exact mixture density over {n_trees} induced trees exceeds the cap {tree_cap}"
         )
-    return _log_density_exact(circuit, circuit.root, x, y, {})
+    return _log_density_exact(circuit, x, y)

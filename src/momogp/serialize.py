@@ -66,7 +66,6 @@ def _node_to_json(node) -> dict:
     base = {
         "scope": sorted(int(s) for s in node.scope),
         "region": _region_to_json(node.region),
-        "n_rows": int(node.n_rows),
     }
     if isinstance(node, SumNode):
         return {
@@ -113,14 +112,12 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
     kind = obj["type"]
     scope = frozenset(int(s) for s in obj["scope"])
     region = _region_from_json(obj["region"])
-    n_rows = int(obj["n_rows"])
     if kind == "sum":
         return SumNode(
             [int(c) for c in obj["children"]],
             np.asarray(obj["log_weights"], dtype=float),
             scope,
             region,
-            n_rows,
         )
     if kind == "product_x":
         return ProductXNode(
@@ -129,10 +126,9 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
             int(obj["split_dim"]),
             scope,
             region,
-            n_rows,
         )
     if kind == "product_y":
-        return ProductYNode([int(c) for c in obj["children"]], scope, region, n_rows)
+        return ProductYNode([int(c) for c in obj["children"]], scope, region)
     if kind == "leaf":
         rows = np.asarray(obj["rows"], dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
@@ -153,7 +149,7 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
             hyperparams=hyper,
             row_idx=rows,
         )
-        return LeafNode(leaf, scope, region, n_rows)
+        return LeafNode(leaf, scope, region)
     raise SchemaError(f"unknown node type {kind!r}")
 
 

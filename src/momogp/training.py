@@ -18,41 +18,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, LeafNode
+from .circuit import Circuit, LeafNode, _check_field_types
 from .errors import NumericalError
 from .gp_leaf import GpLeaf, KernelHyperparams
 from .inference import compute_evidence, renormalize
-
-
-_FIELD_TYPES = {
-    "int": (int, np.integer),
-    "float": (int, float, np.integer, np.floating),
-    "bool": (bool,),
-}
-
-
-def _check_field_types(cfg) -> None:
-    """Reject a config value whose type disagrees with its field's annotation.
-
-    Bools and numbers do not pass for each other, reals must be finite
-    and ``Optional`` fields also take None; other fields are not checked.
-    """
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        optional = f.type.startswith("Optional[")
-        kind = f.type[len("Optional["):-1] if optional else f.type
-        if kind not in _FIELD_TYPES or (optional and value is None):
-            continue
-        if (
-            isinstance(value, bool) != (kind == "bool")
-            or not isinstance(value, _FIELD_TYPES[kind])
-            or (kind == "float" and not math.isfinite(value))
-        ):
-            raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass
@@ -106,15 +79,6 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def init_hyperparams(
-    leaf_count: int, n_dims: int, cfg: TrainConfig
-) -> list[KernelHyperparams]:
-    """Seeded initial kernel parameters, one independent stream per leaf slot."""
-    if leaf_count < 0 or n_dims < 1:
-        raise ValueError("leaf_count must be >= 0 and n_dims >= 1")
-    return [_initial_draw(slot, n_dims, cfg) for slot in range(leaf_count)]
 
 
 def _initial_draw(slot: int, n_dims: int, cfg: TrainConfig) -> KernelHyperparams:

@@ -100,11 +100,21 @@ def test_leaves_respect_threshold_on_continuous_data():
 def test_leaf_rows_partition_under_each_product_x():
     data = make_data(2, n=150)
     circuit = build(data, StructureConfig(leaf_threshold=30, rng_seed=3))
+    # a node's rows: the training rows of the leaves below it
+    rows = []
     for node in circuit.nodes:
-        if isinstance(node, ProductXNode):
-            sizes = [circuit.nodes[c].n_rows for c in node.children]
-            assert sum(sizes) == node.n_rows
-            assert all(s > 0 for s in sizes)
+        if isinstance(node, LeafNode):
+            rows.append(set(node.leaf.row_idx.tolist()))
+        else:
+            rows.append(set().union(*(rows[c] for c in node.children)))
+    splits = [i for i, node in enumerate(circuit.nodes) if isinstance(node, ProductXNode)]
+    assert splits
+    for i in splits:
+        node = circuit.nodes[i]
+        assert rows[i] == set(np.flatnonzero(node.region.contains_rows(data.x)).tolist())
+        sizes = [len(rows[c]) for c in node.children]
+        assert sum(sizes) == len(rows[i])
+        assert all(s > 0 for s in sizes)
 
 
 def test_same_seed_same_structure():

@@ -236,6 +236,8 @@ def test_removed_config_keys_are_invalid(tmp_path, capsys, section, key, value):
         ("training", "rng_seed", "x"),
         ("pipeline", "test_fraction", "0.3"),
         ("pipeline", "standardize", "no"),
+        ("structure", "leaf_threshold", 2.5),
+        ("structure", "k_sum", True),
     ],
 )
 def test_wrong_typed_config_value_is_invalid(tmp_path, capsys, section, key, value):
@@ -493,6 +495,21 @@ def test_upsample_config_file_keeps_upsample_defaults(tmp_path, capsys):
     effective = json.loads(echoed.split("effective config:\n")[1].split("structure:")[0])
     assert effective["structure"]["leaf_threshold"] == 256
     assert effective["training"]["max_epochs"] == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_outputs", 7), ("test_fraction", 0.5), ("split_seed", 3), ("nlpd_mode", "both")],
+)
+def test_upsample_refuses_pipeline_keys_it_never_reads(tmp_path, capsys, key, value):
+    small = tmp_path / "small.ppm"
+    write_ppm(small, synthetic_image(8))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"training": {"max_epochs": 0}, "pipeline": {key: value}}))
+    out = tmp_path / "o.ppm"
+    assert run(["upsample", small, "--out", out, "--config", config]) == 2
+    assert capsys.readouterr().err == f"ERROR invalid: upsample does not read pipeline.{key}\n"
+    assert not out.exists()
 
 
 def test_upsample_factor_validation(tmp_path, capsys):

@@ -88,6 +88,26 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_file_with_node_row_counts_loads_and_predicts_bitwise(tmp_path):
+    # earlier files store each node's training-row count under "n_rows"
+    circuit, transforms, data = fitted_model(seed=5)
+    path = tmp_path / "m.json"
+    save_model(path, circuit, transforms, data.x, data.y)
+    doc = json.loads(path.read_text())
+    for stored, node in zip(doc["nodes"], circuit.nodes):
+        assert "n_rows" not in stored
+        stored["n_rows"] = int(node.region.contains_rows(data.x).sum())
+    old = tmp_path / "old.json"
+    old.write_text(dumps_canonical(doc))
+    bundle = load_model(old)
+    xq = np.random.default_rng(2).normal(size=(9, circuit.n_dims))
+    for a, b in zip(predict_batch(bundle.circuit, xq), predict_batch(circuit, xq)):
+        np.testing.assert_array_equal(a, b)
+    resaved = tmp_path / "resaved.json"
+    save_model(resaved, bundle.circuit, bundle.transforms, bundle.x, bundle.y, bundle.extras)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 def test_unbounded_regions_use_null():
     circuit, transforms, data = fitted_model(seed=4)
     text = dumps_canonical(model_to_dict(circuit, transforms, data.x, data.y))

@@ -10,9 +10,14 @@ from momogp.circuit import StructureConfig, build, count_induced_trees, validate
 from momogp.data_pipeline import Dataset, apply_standardization, standardize, synth_multioutput
 from momogp.gp_leaf import GpLeaf
 from momogp.images import box_downsample, grid_coordinates, image_to_dataset, synthetic_image
-from momogp.inference import compute_evidence, log_predictive_density_batch, predict_batch
+from momogp.inference import (
+    NLPD_MODES,
+    compute_evidence,
+    log_predictive_density_batch,
+    predict_batch,
+)
 from momogp.serialize import dumps_canonical, load_model, model_to_dict, save_model
-from momogp.training import TrainConfig, init_hyperparams, train
+from momogp.training import TrainConfig, _initial_draw, train
 
 
 def image_problem():
@@ -96,6 +101,55 @@ def test_shared_and_unshared_circuits_agree_bitwise(trained):
     )
 
 
+SERVING = {
+    "predict": lambda circuit, x, y: predict_batch(circuit, x),
+    "moment_matched": lambda circuit, x, y: log_predictive_density_batch(circuit, x, y),
+    "exact_mixture": lambda circuit, x, y: log_predictive_density_batch(
+        circuit, x, y, mode="exact_mixture", tree_cap=count_induced_trees(circuit)
+    ),
+}
+
+
+@pytest.mark.parametrize("n_rows", [None, 8])
+@pytest.mark.parametrize("serve", sorted(SERVING))
+def test_each_pass_queries_every_reached_leaf_once(trained, monkeypatch, serve, n_rows):
+    circuit, _, query = trained
+    x, y = query.x, query.y
+    if n_rows is not None:
+        pick = np.random.default_rng(0).choice(query.n_rows, n_rows, replace=False)
+        x, y = x[pick], y[pick]
+    seen = {}
+    posterior_batch = GpLeaf.posterior_batch
+
+    def recording_posterior_batch(leaf, xq, include_noise=False):
+        seen.setdefault(id(leaf), []).append(xq)
+        return posterior_batch(leaf, xq, include_noise)
+
+    monkeypatch.setattr(GpLeaf, "posterior_batch", recording_posterior_batch)
+    SERVING[serve](circuit, x, y)
+    # exactly the leaves whose region holds a query row, each once, with
+    # the rows inside its region in query order
+    reached = {}
+    for _, node in circuit.leaves():
+        inside = node.region.contains_rows(x)
+        if inside.any():
+            reached[id(node.leaf)] = x[inside]
+    assert seen.keys() == reached.keys()
+    for key, calls in seen.items():
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], reached[key])
+
+
+def test_empty_query_batch_gives_empty_results(trained):
+    circuit, _, query = trained
+    p = circuit.n_outputs
+    x, y = query.x[:0], query.y[:0]
+    means, covs = predict_batch(circuit, x)
+    assert means.shape == (0, p) and covs.shape == (0, p, p)
+    for mode in NLPD_MODES:
+        assert SERVING[mode](circuit, x, y).shape == (0,)
+
+
 def test_tree_shaped_model_file_loads_and_predicts_bitwise(trained, tmp_path):
     circuit, work, query = trained
     path = tmp_path / "tree.json"
@@ -111,7 +165,7 @@ def test_shared_leaf_starts_from_its_first_copys_draw():
     cfg = TrainConfig(max_epochs=0, rng_seed=4)
     circuit, _ = train(build(work, structure), work, cfg, threads=1)
     tree = oracles.unshare(build(work, structure))
-    draws = init_hyperparams(len(tree.leaf_ids()), tree.n_dims, cfg)
+    draws = [_initial_draw(slot, tree.n_dims, cfg) for slot in range(len(tree.leaf_ids()))]
     first = {}
     for key, hyper in zip(leaf_keys(tree), draws):
         first.setdefault(key, hyper)

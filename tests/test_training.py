@@ -5,7 +5,7 @@ import pytest
 
 from momogp.circuit import StructureConfig, SumNode, build
 from momogp.data_pipeline import Dataset
-from momogp.training import TrainConfig, init_hyperparams, train
+from momogp.training import TrainConfig, _initial_draw, train
 
 
 def small_circuit(seed=0, n=60, d=2, p=2, threshold=10):
@@ -18,14 +18,19 @@ def small_circuit(seed=0, n=60, d=2, p=2, threshold=10):
 # ------------------------------------------------------------ initialisation
 
 
+def initial_draws(count, n_dims, cfg):
+    """The initial kernel parameters of leaf slots 0..count-1."""
+    return [_initial_draw(slot, n_dims, cfg) for slot in range(count)]
+
+
 def test_init_deterministic_per_slot():
     cfg = TrainConfig(rng_seed=5)
-    a = init_hyperparams(6, 3, cfg)
-    b = init_hyperparams(6, 3, cfg)
+    a = initial_draws(6, 3, cfg)
+    b = initial_draws(6, 3, cfg)
     for ha, hb in zip(a, b):
         assert np.array_equal(ha.log_lengthscales, hb.log_lengthscales)
     # slot streams are independent of the total count
-    c = init_hyperparams(2, 3, cfg)
+    c = initial_draws(2, 3, cfg)
     assert np.array_equal(a[1].log_lengthscales, c[1].log_lengthscales)
     # distinct slots draw distinct lengthscales
     assert not np.array_equal(a[0].log_lengthscales, a[1].log_lengthscales)
@@ -34,7 +39,7 @@ def test_init_deterministic_per_slot():
 def test_init_gamma_statistics():
     cfg = TrainConfig(init_gamma_shape=2.0, init_gamma_rate=3.0, rng_seed=0)
     draws = np.concatenate(
-        [h.lengthscales for h in init_hyperparams(4000, 1, cfg)]
+        [h.lengthscales for h in initial_draws(4000, 1, cfg)]
     )
     assert np.all(draws > 0)
     # shape/rate parameterization: mean 2/3, variance 2/9
@@ -44,16 +49,9 @@ def test_init_gamma_statistics():
 
 def test_init_fixed_variances():
     cfg = TrainConfig(init_signal_variance=1.0, init_noise_variance=0.1)
-    hyper = init_hyperparams(3, 2, cfg)[0]
+    hyper = initial_draws(3, 2, cfg)[0]
     assert hyper.signal_variance == pytest.approx(1.0)
     assert hyper.noise_variance == pytest.approx(0.1)
-
-
-def test_init_validation():
-    with pytest.raises(ValueError):
-        init_hyperparams(-1, 2, TrainConfig())
-    with pytest.raises(ValueError):
-        init_hyperparams(3, 0, TrainConfig())
 
 
 def test_config_validation():
@@ -108,7 +106,7 @@ def test_max_epochs_zero_keeps_initial_draws():
     assert report.epochs_run == 0
     assert not report.stopped_early
     assert report.final_total_mll == report.initial_total_mll
-    inits = init_hyperparams(report.leaf_count, circuit.n_dims, cfg)
+    inits = initial_draws(report.leaf_count, circuit.n_dims, cfg)
     for lid, hyper in zip(circuit.leaf_ids(), inits):
         assert np.array_equal(
             circuit.nodes[lid].leaf.hyperparams.to_vector(), hyper.to_vector()
