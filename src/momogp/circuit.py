@@ -4,8 +4,8 @@ The model is a rooted DAG of four node kinds:
 
 * Sum: a mixture whose children all model the same outputs on the
   same region (log weights attached to the edges).
-* ProductX: partitions the node's region into cells along one
-  covariate dimension; one child per cell.
+* ProductX: cuts the node's region along one covariate dimension at
+  its sorted interior edges; one child per cell.
 * ProductY: partitions the node's output scope into disjoint subsets;
   one child per subset.
 * Leaf: a single-output GP expert on the node's region.
@@ -16,6 +16,11 @@ node except the root has at least one parent and the root has none (so
 the root is the last node). The builder adds children first, and
 ``validate`` checks this rule for built and loaded circuits alike, so
 every bottom-up pass is a plain loop over the ids.
+
+The split edges are the only stored partition: the root is unbounded,
+a sum or an output partition hands its region to its children and a
+covariate split cuts it at its edges. The builder sets each ``region``
+as it cuts; ``validate`` and the loader derive them top-down.
 
 Leaves are shared. Every split uses half-open boxes, so splitting
 dimension a then b gives the same cells as b then a; a leaf's training
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -89,9 +94,8 @@ class Region:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("lower/upper must be 1-d and of equal length")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
-            raise ValueError("region bounds may not be NaN")
-        if np.any(self.lower >= self.upper):
+        # NaN compares false, so this one test also rejects NaN bounds
+        if not np.all(self.lower < self.upper):
             raise ValueError("region must satisfy lower < upper in every dimension")
 
     @classmethod
@@ -112,6 +116,11 @@ class Region:
         lower[dim] = lo
         upper[dim] = hi
         return Region(lower, upper)
+
+    def cut(self, dim: int, edges) -> list["Region"]:
+        """The cells of this box cut along ``dim`` at the sorted interior ``edges``."""
+        bounds = [self.lower[dim], *edges, self.upper[dim]]
+        return [self.with_interval(dim, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -145,7 +154,7 @@ class SumNode:
     children: list[int]
     log_weights: np.ndarray
     scope: frozenset[int]
-    region: Region
+    region: Optional[Region] = None
 
     def __post_init__(self):
         self.log_weights = np.asarray(self.log_weights, dtype=float)
@@ -155,25 +164,37 @@ class SumNode:
 
 @dataclass
 class ProductXNode:
+    """Cuts its region along ``split_dim`` at the sorted interior ``edges``,
+    one fewer than its children; child j holds the j-th cell."""
+
     children: list[int]
-    child_regions: list[Region]
     split_dim: int
+    edges: np.ndarray
     scope: frozenset[int]
-    region: Region
+    region: Optional[Region] = None
+
+    def __post_init__(self):
+        self.edges = np.asarray(self.edges, dtype=float)
+
+    @property
+    def child_regions(self) -> list[Region]:
+        # Only the benchmark's bottom-up recursion reference reads this; the
+        # benchmark refresh of ROADMAP.md item 5 should delete it.
+        return self.region.cut(self.split_dim, self.edges)
 
 
 @dataclass
 class ProductYNode:
     children: list[int]
     scope: frozenset[int]
-    region: Region
+    region: Optional[Region] = None
 
 
 @dataclass
 class LeafNode:
     leaf: GpLeaf
     scope: frozenset[int]
-    region: Region
+    region: Optional[Region] = None
 
 
 Node = Union[SumNode, ProductXNode, ProductYNode, LeafNode]
@@ -201,16 +222,12 @@ class Circuit:
         return [i for i, _ in self.leaves()]
 
     def describe(self) -> dict:
-        counts = {"sum": 0, "product_x": 0, "product_y": 0, "leaf": 0}
+        kinds = {
+            SumNode: "sum", ProductXNode: "product_x", ProductYNode: "product_y", LeafNode: "leaf"
+        }
+        counts = dict.fromkeys(kinds.values(), 0)
         for node in self.nodes:
-            if isinstance(node, SumNode):
-                counts["sum"] += 1
-            elif isinstance(node, ProductXNode):
-                counts["product_x"] += 1
-            elif isinstance(node, ProductYNode):
-                counts["product_y"] += 1
-            else:
-                counts["leaf"] += 1
+            counts[kinds[type(node)]] += 1
         return {
             "nodes": len(self.nodes),
             **counts,
@@ -260,37 +277,20 @@ class _Builder:
         thresholds = thresholds[
             (thresholds > region.lower[dim]) & (thresholds < region.upper[dim])
         ]
-        if thresholds.size == 0:
-            # all thresholds coincide: no usable split, fall through to outputs
+        # an empty cell merges into its left neighbour (leading empties into
+        # the first populated cell), so only the edges that open a populated
+        # cell are kept
+        populated = np.unique(np.searchsorted(thresholds, vals, side="right"))
+        edges = thresholds[populated[1:] - 1]
+        if edges.size == 0:
+            # one populated cell: no usable split, fall through to outputs
             return self.build_prod_y(region, rows, scope, False)
-        bins = np.searchsorted(thresholds, vals, side="right")
-        edges = [float(region.lower[dim])] + [float(t) for t in thresholds] + [
-            float(region.upper[dim])
+        cell_of = np.searchsorted(edges, vals, side="right")
+        children = [
+            self.build_prod_y(cell, rows[cell_of == j], scope, True)
+            for j, cell in enumerate(region.cut(dim, edges))
         ]
-        # assemble populated cells; empty cells merge into their left
-        # neighbour (leading empties fold into the first populated cell)
-        cells: list[tuple[float, float, np.ndarray]] = []
-        lo_edge = edges[0]
-        for j in range(len(edges) - 1):
-            hi_edge = edges[j + 1]
-            cell_rows = rows[bins == j]
-            if cell_rows.size == 0:
-                if cells:
-                    prev_lo, _, prev_rows = cells[-1]
-                    cells[-1] = (prev_lo, hi_edge, prev_rows)
-                    lo_edge = hi_edge
-            else:
-                cells.append((lo_edge, hi_edge, cell_rows))
-                lo_edge = hi_edge
-        if len(cells) == 1:
-            return self.build_prod_y(region, rows, scope, False)
-        children = []
-        child_regions = []
-        for cell_lo, cell_hi, cell_rows in cells:
-            child_region = region.with_interval(dim, cell_lo, cell_hi)
-            child_regions.append(child_region)
-            children.append(self.build_prod_y(child_region, cell_rows, scope, True))
-        return self.add(ProductXNode(children, child_regions, dim, scope, region))
+        return self.add(ProductXNode(children, dim, edges, scope, region))
 
     def build_prod_y(
         self, region: Region, rows: np.ndarray, scope: frozenset, can_split_x: bool
@@ -367,15 +367,10 @@ def build(data: Dataset, cfg: StructureConfig) -> Circuit:
     return Circuit(builder.nodes, root, y.shape[1], x.shape[1], replace(cfg))
 
 
-def _box(region: Region) -> tuple[list, list]:
-    # plain lists compare faster than arrays at these sizes, with the same result
-    return region.lower.tolist(), region.upper.tolist()
-
-
 def _check_ids(circuit: Circuit) -> list[str]:
     """The id rule: child ids lie in [0, parent id), no node lists a child
     twice, every node but the root has a parent and the root has none; also
-    the node kinds and region widths.
+    the node kinds.
 
     With ids in topological order, a parent for every other node makes every
     node reachable from the root.
@@ -388,8 +383,6 @@ def _check_ids(circuit: Circuit) -> list[str]:
         if not isinstance(node, (SumNode, ProductXNode, ProductYNode, LeafNode)):
             problems.append(f"node {i}: unknown node type {type(node).__name__}")
             continue
-        if node.region.n_dims != circuit.n_dims:
-            problems.append(f"node {i}: region has {node.region.n_dims} dims, expected {circuit.n_dims}")
         if isinstance(node, LeafNode):
             continue
         if not all(0 <= c < i for c in node.children):
@@ -409,7 +402,56 @@ def _check_ids(circuit: Circuit) -> list[str]:
     return problems
 
 
-def _check_sum(i: int, node: SumNode, nodes: list, boxes: list, problems: list[str]):
+def _cells(i: int, node: ProductXNode, region: Region, problems: list[str]) -> list[Region]:
+    """The cells a covariate split cuts from ``region``; none when its edges cannot cut it."""
+    # python floats: a split has few edges, and numpy reductions cost more than the loop
+    dim, edges = node.split_dim, node.edges.tolist()
+    if len(node.children) < 2:
+        problems.append(f"node {i}: covariate split with fewer than two cells")
+    elif not 0 <= dim < region.n_dims:
+        problems.append(f"node {i}: split dimension {dim} outside [0, {region.n_dims})")
+    elif node.edges.shape != (len(node.children) - 1,):
+        problems.append(f"node {i}: {node.edges.size} edges for {len(node.children)} cells")
+    elif not all(map(math.isfinite, edges)):
+        problems.append(f"node {i}: non-finite edge")
+    elif not all(a < b for a, b in zip(edges, edges[1:])):
+        problems.append(f"node {i}: edges do not strictly increase")
+    elif not region.lower[dim] < edges[0] <= edges[-1] < region.upper[dim]:
+        problems.append(f"node {i}: edges leave the region's interval on dimension {dim}")
+    else:
+        return region.cut(dim, edges)
+    return []
+
+
+def _derive_regions(circuit: Circuit, problems: list[str]) -> list[Optional[Region]]:
+    """Every node's region, top-down: descending ids reach every parent first.
+
+    Every parent of a node must derive the same region for it, which is what
+    makes a shared leaf sound. Below only unusable edges a node gets None.
+    """
+    nodes = circuit.nodes
+    regions: list[Optional[Region]] = [None] * len(nodes)
+    regions[circuit.root] = Region.unbounded(circuit.n_dims)
+    for i in range(len(nodes) - 1, -1, -1):
+        node, region = nodes[i], regions[i]
+        if region is None or isinstance(node, LeafNode):
+            continue
+        if isinstance(node, ProductXNode):
+            cells = _cells(i, node, region, problems)
+        else:
+            cells = [region] * len(node.children)
+        for child, cell in zip(node.children, cells):
+            seen = regions[child]
+            if seen is None:
+                regions[child] = cell
+            elif (seen.lower.tolist(), seen.upper.tolist()) != (
+                cell.lower.tolist(), cell.upper.tolist()
+            ):
+                problems.append(f"node {child}: its parents derive different regions for it")
+    return regions
+
+
+def _check_sum(i: int, node: SumNode, nodes: list, problems: list[str]):
     if len(node.children) < 1:
         problems.append(f"node {i}: sum without children")
         return
@@ -422,95 +464,61 @@ def _check_sum(i: int, node: SumNode, nodes: list, boxes: list, problems: list[s
     for child in node.children:
         if nodes[child].scope != node.scope:
             problems.append(f"node {i}: sum child {child} changes scope")
-        if boxes[child] != boxes[i]:
-            problems.append(f"node {i}: sum child {child} changes region")
 
 
-def _check_product_x(
-    i: int, node: ProductXNode, nodes: list, boxes: list, problems: list[str]
-):
-    if len(node.children) < 2:
-        problems.append(f"node {i}: covariate split with fewer than two cells")
-        return
-    if len(node.child_regions) != len(node.children):
-        problems.append(f"node {i}: child_regions length mismatch")
-        return
-    dim = node.split_dim
-    lower, upper = boxes[i]
-    if not 0 <= dim < len(lower):
-        problems.append(f"node {i}: split dimension {dim} outside [0, {len(lower)})")
-        return
-    # the stored cells, in order, must tile the region along dim
-    edge = lower[dim]
-    for child, cell in zip(node.children, node.child_regions):
-        if nodes[child].scope != node.scope:
-            problems.append(f"node {i}: covariate-split child {child} changes scope")
-        cell_box = _box(cell)
-        if boxes[child] != cell_box:
-            problems.append(f"node {i}: child {child} region disagrees with stored cell")
-        cell_lower, cell_upper = cell_box
-        if cell_lower[dim] != edge:
-            problems.append(f"node {i}: cells leave a gap or overlap at {edge}")
-        edge = cell_upper[dim]
-        cell_lower[dim], cell_upper[dim] = lower[dim], upper[dim]
-        if cell_lower != lower or cell_upper != upper:
-            problems.append(f"node {i}: child {child} moves bounds off the split dimension")
-    if edge != upper[dim]:
-        problems.append(f"node {i}: cells do not end at the region upper bound")
-
-
-def _check_product_y(
-    i: int, node: ProductYNode, nodes: list, boxes: list, problems: list[str]
-):
+def _check_product_y(i: int, node: ProductYNode, nodes: list, problems: list[str]):
     if len(node.children) < 1:
         problems.append(f"node {i}: output partition without children")
         return
-    union: set[int] = set()
-    total = 0
-    for child in node.children:
-        union |= nodes[child].scope
-        total += len(nodes[child].scope)
-        if boxes[child] != boxes[i]:
-            problems.append(f"node {i}: output-partition child {child} changes region")
-    if total != len(union) or union != node.scope:
+    scopes = [nodes[child].scope for child in node.children]
+    if sum(map(len, scopes)) != len(node.scope) or frozenset().union(*scopes) != node.scope:
         problems.append(f"node {i}: children do not partition the output scope")
 
 
-def _check_leaf(circuit: Circuit, i: int, node: LeafNode, problems: list[str]):
+def _check_leaf(i: int, node: LeafNode, region: Region, problems: list[str]):
     if node.scope != frozenset([node.leaf.scope_output]):
         problems.append(f"node {i}: leaf scope disagrees with its output index")
-    if node.leaf.n_dims != circuit.n_dims:
+    if node.leaf.n_dims != region.n_dims:
         problems.append(f"node {i}: leaf dimensionality mismatch")
-    elif not np.all(node.region.contains_rows(node.leaf.train_x)):
+    elif not np.all(region.contains_rows(node.leaf.train_x)):
         problems.append(f"node {i}: leaf rows fall outside its region")
 
 
 def validate(circuit: Circuit) -> list[str]:
-    """Structural invariant check; returns human-readable violations (empty when sound).
+    """Structural invariant check; returns human-readable violations (empty when sound)."""
+    return _validated_regions(circuit)[1]
 
-    One pass in id order. The link checks come first; the per-kind
-    checks (smooth sums, tiling covariate splits, output partitions,
-    leaves inside their regions) run only when the links are sound.
+
+def _validated_regions(circuit: Circuit) -> tuple[list[Optional[Region]], list[str]]:
+    """``validate``'s pass: every node's derived region and the violations.
+
+    The rest runs only when the links are sound. Regions are derived, never
+    compared with a copy, so of them only what the edges do not guarantee is
+    checked: the edge count, finite edges strictly increasing inside the
+    parent's interval, one region per node, leaf rows inside their region.
     """
     nodes = circuit.nodes
     if not 0 <= circuit.root < len(nodes):
-        return [f"root id {circuit.root} outside the node array"]
+        return [], [f"root id {circuit.root} outside the node array"]
     problems = _check_ids(circuit)
     if problems:
-        return problems
+        return [], problems
     if nodes[circuit.root].scope != frozenset(range(circuit.n_outputs)):
         problems.append(f"root scope is not the {circuit.n_outputs} outputs")
-    boxes = [_box(node.region) for node in nodes]
+    regions = _derive_regions(circuit, problems)
     for i, node in enumerate(nodes):
         if isinstance(node, SumNode):
-            _check_sum(i, node, nodes, boxes, problems)
-        elif isinstance(node, ProductXNode):
-            _check_product_x(i, node, nodes, boxes, problems)
+            _check_sum(i, node, nodes, problems)
         elif isinstance(node, ProductYNode):
-            _check_product_y(i, node, nodes, boxes, problems)
+            _check_product_y(i, node, nodes, problems)
+        elif isinstance(node, LeafNode):
+            if regions[i] is not None:
+                _check_leaf(i, node, regions[i], problems)
         else:
-            _check_leaf(circuit, i, node, problems)
-    return problems
+            for child in node.children:
+                if nodes[child].scope != node.scope:
+                    problems.append(f"node {i}: covariate-split child {child} changes scope")
+    return regions, problems
 
 
 def count_induced_trees(circuit: Circuit) -> int:

@@ -246,14 +246,18 @@ class GpLeaf:
         function value.
         """
         self._require_fit()
+        # fit proved the factor finite, so only the queries need the scan
+        if not np.all(np.isfinite(x)):
+            raise ValueError("query points must be finite")
         k_star = _matern32(x, self.train_x, self.hyperparams)[0]
         mean = k_star @ self.alpha
-        v = solve_triangular(self.chol_factor, k_star.T, lower=True)
+        v = solve_triangular(self.chol_factor, k_star.T, lower=True, check_finite=False)
         var = self.hyperparams.signal_variance - np.sum(v * v, axis=0)
-        # tiny negative values are roundoff; anything larger is a real failure
-        if np.any(var < -1e-8 * self.hyperparams.signal_variance):
+        # tiny negative values are roundoff; anything larger is a real failure,
+        # and so is NaN from a query so far away that its distance overflows
+        if not np.all(var >= -1e-8 * self.hyperparams.signal_variance):
             raise NumericalError(
-                f"posterior variance went negative ({float(var.min())})"
+                f"posterior variance went negative or NaN ({float(var.min())})"
             )
         var = np.maximum(var, 0.0)
         if include_noise:

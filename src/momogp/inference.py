@@ -74,11 +74,9 @@ def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
 
 def _route(node: ProductXNode, column: np.ndarray) -> np.ndarray:
     """Child index per value of the split dimension. Cells are half-open,
-    so a value equal to an interior edge routes right; anything at or
-    beyond the last edge goes to the last cell."""
-    dim = node.split_dim
-    interior = np.asarray([r.upper[dim] for r in node.child_regions[:-1]])
-    return np.searchsorted(interior, column, side="right")
+    so a value equal to an edge routes right; anything at or beyond the
+    last edge goes to the last cell."""
+    return np.searchsorted(node.edges, column, side="right")
 
 
 class _Fold:

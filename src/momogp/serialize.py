@@ -6,8 +6,16 @@ preprocessing transforms and the structure config. Leaves store kernel
 hyperparameters plus the row indices of their training subset, so the
 heavy per-leaf state (Cholesky factor, alpha) is reproduced exactly by
 refitting on load rather than stored. A leaf that several nodes share is
-one entry, refitted once. A loaded circuit goes through the same
-``validate`` as a built one before any leaf is refitted.
+one entry, refitted once.
+
+No node stores a region box (schema_version 2). A covariate split stores
+its ``split_dim`` and its sorted interior ``edges``. Before any leaf is
+refitted, the loader derives every node's region from the root in the
+pass that runs ``validate``'s checks. Schema-1 files stored every node's
+box and each split's cell boxes as well; they still load. A schema-1 split's edges are its cells' upper
+bounds on the split dimension, all but the last, and the stored boxes
+are ignored: routing only ever read those edges, and the leaf rows are
+stored apart, so such a file serves the same numbers as before.
 
 Serialisation is byte-deterministic: keys are sorted and floats use
 Python's shortest round-trip repr. Writes go to a temp file in the
@@ -18,7 +26,6 @@ failed write leaves no partial file.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -31,42 +38,20 @@ from .circuit import (
     LeafNode,
     ProductXNode,
     ProductYNode,
-    Region,
     StructureConfig,
     SumNode,
-    validate,
+    _validated_regions,
 )
 from .data_pipeline import PcaTransform, PipelineTransforms, Standardization
 from .errors import NumericalError, SchemaError
 from .gp_leaf import GpLeaf, KernelHyperparams
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _MODEL_KIND = "momogp_model"
 
 
-def _bound_list(values: np.ndarray) -> list:
-    # infinities become JSON null; the field (lower/upper) fixes the sign
-    return [None if math.isinf(v) else v for v in values.tolist()]
-
-
-def _region_to_json(region: Region) -> dict:
-    return {
-        "lower": _bound_list(region.lower),
-        "upper": _bound_list(region.upper),
-    }
-
-
-def _region_from_json(obj: dict) -> Region:
-    lower = [(-math.inf if v is None else float(v)) for v in obj["lower"]]
-    upper = [(math.inf if v is None else float(v)) for v in obj["upper"]]
-    return Region(np.asarray(lower), np.asarray(upper))
-
-
 def _node_to_json(node) -> dict:
-    base = {
-        "scope": sorted(int(s) for s in node.scope),
-        "region": _region_to_json(node.region),
-    }
+    base = {"scope": sorted(int(s) for s in node.scope)}
     if isinstance(node, SumNode):
         return {
             "type": "sum",
@@ -79,7 +64,7 @@ def _node_to_json(node) -> dict:
             "type": "product_x",
             "children": [int(c) for c in node.children],
             "split_dim": int(node.split_dim),
-            "child_regions": [_region_to_json(r) for r in node.child_regions],
+            "edges": node.edges.tolist(),
             **base,
         }
     if isinstance(node, ProductYNode):
@@ -108,27 +93,25 @@ def _node_to_json(node) -> dict:
     raise SchemaError(f"cannot serialize node type {type(node).__name__}")
 
 
-def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
+def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray, version: int):
+    """One stored node, without its region; the loader derives that."""
     kind = obj["type"]
     scope = frozenset(int(s) for s in obj["scope"])
-    region = _region_from_json(obj["region"])
     if kind == "sum":
         return SumNode(
             [int(c) for c in obj["children"]],
             np.asarray(obj["log_weights"], dtype=float),
             scope,
-            region,
         )
     if kind == "product_x":
-        return ProductXNode(
-            [int(c) for c in obj["children"]],
-            [_region_from_json(r) for r in obj["child_regions"]],
-            int(obj["split_dim"]),
-            scope,
-            region,
-        )
+        dim = int(obj["split_dim"])
+        if version == 1:  # each cell's box; all but the last end at an edge
+            edges = [cell["upper"][dim] for cell in obj["child_regions"][:-1]]
+        else:
+            edges = obj["edges"]
+        return ProductXNode([int(c) for c in obj["children"]], dim, edges, scope)
     if kind == "product_y":
-        return ProductYNode([int(c) for c in obj["children"]], scope, region)
+        return ProductYNode([int(c) for c in obj["children"]], scope)
     if kind == "leaf":
         rows = np.asarray(obj["rows"], dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
@@ -149,7 +132,7 @@ def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray):
             hyperparams=hyper,
             row_idx=rows,
         )
-        return LeafNode(leaf, scope, region)
+        return LeafNode(leaf, scope)
     raise SchemaError(f"unknown node type {kind!r}")
 
 
@@ -238,10 +221,10 @@ def model_to_dict(
 def model_from_dict(obj: dict) -> ModelBundle:
     if not isinstance(obj, dict) or obj.get("kind") != _MODEL_KIND:
         raise SchemaError("not a model file")
-    if obj.get("schema_version") != SCHEMA_VERSION:
+    version = obj.get("schema_version")
+    if version not in (1, SCHEMA_VERSION):
         raise SchemaError(
-            f"unsupported schema_version {obj.get('schema_version')!r}; "
-            f"expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; expected 1 or {SCHEMA_VERSION}"
         )
     required = ("nodes", "root", "n_outputs", "n_dims", "data", "structure_config")
     missing = [key for key in required if key not in obj]
@@ -263,7 +246,7 @@ def model_from_dict(obj: dict) -> ModelBundle:
             **{f.name: obj["structure_config"][f.name] for f in fields(StructureConfig)}
         )
         config.validate()
-        nodes = [_node_from_json(n, x, y) for n in obj["nodes"]]
+        nodes = [_node_from_json(n, x, y, version) for n in obj["nodes"]]
         circuit = Circuit(
             nodes=nodes,
             root=int(obj["root"]),
@@ -271,9 +254,11 @@ def model_from_dict(obj: dict) -> ModelBundle:
             n_dims=x.shape[1],
             config=config,
         )
-        problems = validate(circuit)
+        regions, problems = _validated_regions(circuit)
         if problems:
             raise SchemaError(f"invalid circuit: {problems[0]}")
+        for node, region in zip(nodes, regions):
+            node.region = region
         stored_transforms = obj.get("transforms") or {}
         extras = obj.get("extras") or {}
         for name, value in (("transforms", stored_transforms), ("extras", extras)):
@@ -281,7 +266,7 @@ def model_from_dict(obj: dict) -> ModelBundle:
                 raise SchemaError(f"model file {name} must be an object")
         transforms = _transforms_from_json(stored_transforms)
         _check_transforms(transforms, circuit.n_dims, circuit.n_outputs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None
     # refitting reproduces the cached per-leaf state; stored posterior
     # weights are kept verbatim (renormalizing again would be a no-op

@@ -43,12 +43,6 @@ from momogp.training import TrainConfig, train
 
 LOG2PI = math.log(2.0 * math.pi)
 
-PARKINSONS_URL = (
-    "https://archive.ics.uci.edu/ml/machine-learning-databases/"
-    "parkinsons/telemonitoring/parkinsons_updrs.data"
-)
-
-
 def criterion(number, name):
     """Register the outcome line before the assert fires."""
 
@@ -74,37 +68,30 @@ def criterion(number, name):
 
 
 def _locate_parkinsons():
-    """Find the telemonitoring CSV, fetching it as a last resort."""
+    """The telemonitoring CSV named by MOMOGP_PARKINSONS_CSV or kept under data/, if any.
+
+    The suite never downloads it; ``scripts/fetch_parkinsons.py`` does.
+    """
     override = os.environ.get("MOMOGP_PARKINSONS_CSV")
     if override:
-        return Path(override), None
+        return Path(override)
     data_dir = Path(__file__).resolve().parents[1] / "data"
     for name in ("parkinsons_updrs.data", "parkinsons_updrs.csv"):
         candidate = data_dir / name
         if candidate.exists():
-            return candidate, None
-    try:
-        import urllib.request
-
-        data_dir.mkdir(exist_ok=True)
-        with urllib.request.urlopen(PARKINSONS_URL, timeout=30) as resp:
-            raw = resp.read()
-        target = data_dir / "parkinsons_updrs.data"
-        target.write_bytes(raw)
-        return target, None
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+            return candidate
+    return None
 
 
 @criterion(1, "telemonitoring benchmark reproduction")
 def test_parkinsons_benchmark():
-    path, err = _locate_parkinsons()
+    path = _locate_parkinsons()
     if path is None:
         reason = (
-            "telemonitoring dataset unavailable: no data/parkinsons_updrs.data, "
-            "no MOMOGP_PARKINSONS_CSV override, and the download attempt failed "
-            f"({err}). Run scripts/fetch_parkinsons.py on a machine with network "
-            "access, then rerun the suite."
+            "telemonitoring dataset unavailable: no data/parkinsons_updrs.data and "
+            "no MOMOGP_PARKINSONS_CSV override. Run scripts/fetch_parkinsons.py on a "
+            "machine with network access, or point MOMOGP_PARKINSONS_CSV at the file, "
+            "then rerun the suite."
         )
         record_criterion_skip(1, "telemonitoring benchmark reproduction", reason)
         pytest.skip(reason)

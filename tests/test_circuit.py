@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from momogp.circuit import (
+    Circuit,
     LeafNode,
     ProductXNode,
     ProductYNode,
@@ -17,6 +18,7 @@ from momogp.circuit import (
 )
 from momogp.data_pipeline import Dataset
 from momogp.errors import CapacityError
+from momogp.gp_leaf import GpLeaf, KernelHyperparams
 from momogp.inference import log_predictive_density_batch
 
 
@@ -232,16 +234,67 @@ def test_validate_flags_unnormalized_weights():
 
 
 def test_validate_flags_region_mismatch():
-    circuit = build(make_data(9, n=60), StructureConfig(leaf_threshold=15, rng_seed=0))
-    for node in circuit.nodes:
-        if isinstance(node, ProductXNode):
-            node.child_regions[0] = node.child_regions[0].with_interval(
-                node.split_dim,
-                float(node.child_regions[0].lower[node.split_dim]),
-                float(node.child_regions[0].upper[node.split_dim]) - 0.25,
-            )
-            break
-    assert validate(circuit) != []
+    # moving an edge onto the last value below it still cuts sound boxes, but
+    # that row now lies in the right cell while its leaves sit in the left one
+    data = make_data(9, n=60)
+    circuit = build(data, StructureConfig(leaf_threshold=15, rng_seed=0))
+    split = circuit.nodes[circuit.nodes[circuit.root].children[0]]
+    assert isinstance(split, ProductXNode)
+    column = data.x[:, split.split_dim]
+    split.edges[0] = column[column < split.edges[0]].max()
+    assert any("leaf rows fall outside its region" in p for p in validate(circuit))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("reversed", "edges do not strictly increase"),
+        ("repeated", "edges do not strictly increase"),
+        ("outside", "edges leave the region's interval"),
+        ("nan", "non-finite edge"),
+        ("extra", "edges for"),
+        ("none", "edges for"),
+    ],
+)
+def test_validate_flags_bad_edges(edges, message):
+    # one covariate, so the nested splits cut bounded intervals
+    data = make_data(9, n=90, d=1)
+    circuit = build(data, StructureConfig(leaf_threshold=15, k_prod_x=3, rng_seed=0))
+    split = next(
+        n for n in circuit.nodes
+        if isinstance(n, ProductXNode) and len(n.children) == 3
+        and np.isfinite(n.region.lower[n.split_dim])
+    )
+    e = split.edges
+    split.edges = {
+        "reversed": e[::-1],
+        "repeated": np.array([e[0], e[0]]),
+        "outside": np.array([split.region.lower[split.split_dim] - 1.0, e[1]]),
+        "nan": np.array([e[0], np.nan]),
+        "extra": np.append(e, e[-1] + 1.0),
+        "none": e[:0],
+    }[edges]
+    assert any(message in p for p in validate(circuit))
+
+
+def test_validate_flags_parents_that_derive_different_regions():
+    def leaf(x):
+        x = np.array([[x]])
+        hyper = KernelHyperparams([0.0], 0.0, 0.0)
+        return LeafNode(GpLeaf(0, x, np.zeros(1), hyper), frozenset([0]))
+
+    def circuit(second_edge):
+        # leaf 0 sits in the left cell of both splits
+        nodes = [
+            leaf(-1.0), leaf(0.5), leaf(1.5),
+            ProductXNode([0, 1], 0, [0.0], frozenset([0])),
+            ProductXNode([0, 2], 0, [second_edge], frozenset([0])),
+            SumNode([3, 4], np.log([0.5, 0.5]), frozenset([0])),
+        ]
+        return Circuit(nodes, 5, 1, 1, StructureConfig())
+
+    assert validate(circuit(0.0)) == []
+    assert validate(circuit(1.0)) == ["node 0: its parents derive different regions for it"]
 
 
 def test_validate_flags_bad_root():
@@ -278,4 +331,4 @@ def test_validate_flags_wrong_output_count_and_width():
     assert any("root scope" in p for p in validate(circuit))
     circuit.n_outputs -= 1
     circuit.n_dims += 1
-    assert any("region has" in p for p in validate(circuit))
+    assert any("leaf dimensionality mismatch" in p for p in validate(circuit))

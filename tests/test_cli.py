@@ -10,6 +10,7 @@ import momogp.cli as cli
 from momogp.data_pipeline import synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
+from momogp.serialize import model_from_dict
 
 
 def write_train_csv(path, n=60, seed=0, p=2):
@@ -41,8 +42,9 @@ def run(argv):
 
 @pytest.fixture()
 def trained_model(tmp_path):
+    # three cells per covariate split, so a split has two edges to corrupt
     csv_path = write_train_csv(tmp_path / "train.csv")
-    config = write_config(tmp_path / "cfg.json")
+    config = write_config(tmp_path / "cfg.json", structure={"k_prod_x": 3})
     model = tmp_path / "model.json"
     assert run(["train", csv_path, "--config", config, "--out", model]) == 0
     return model, csv_path, config
@@ -338,15 +340,31 @@ def corrupt(doc, corruption):
         split = next(n for n in doc["nodes"] if n["type"] == "product_y" and len(n["children"]) > 1)
         split["children"][1] = split["children"][0]
         return "twice"
-    if corruption == "cell_moved_off_child_region":
-        split = next(n for n in doc["nodes"] if n["type"] == "product_x")
-        first, second = split["child_regions"][:2]
-        dim = split["split_dim"]
-        upper = second["upper"][dim]
-        edge = first["upper"][dim]
-        moved = edge + 1.0 if upper is None else 0.5 * (edge + upper)
-        first["upper"][dim] = second["lower"][dim] = moved  # the cells still tile
-        return "stored cell"
+    if corruption.startswith("edge"):
+        # the sound file's regions, to aim edge corruptions by
+        nodes = model_from_dict(json.loads(json.dumps(doc))).circuit.nodes
+        i, node = next(
+            (i, n) for i, n in enumerate(nodes)
+            if doc["nodes"][i]["type"] == "product_x" and len(n.edges) == 2
+            and np.isfinite(n.region.lower[n.split_dim])
+        )
+        edges = doc["nodes"][i]["edges"]
+    if corruption == "edges_not_increasing":
+        edges.reverse()
+        return "edges do not strictly increase"
+    if corruption == "edge_below_parent_interval":
+        edges[0] = float(node.region.lower[node.split_dim]) - 1.0
+        return "edges leave the region's interval"
+    if corruption == "edge_moved_past_leaf_rows":
+        # still increasing and inside the interval, but every row of the
+        # second cell now lies in the first cell's box
+        x = np.asarray(doc["data"]["x"])
+        column = x[node.region.contains_rows(x), node.split_dim]
+        edges[0] = 0.5 * (column[column < edges[1]].max() + edges[1])
+        return "outside its region"
+    if corruption == "edge_count_wrong":
+        edges.pop()
+        return "1 edges for 3 cells"
     if corruption == "sum_child_from_other_scope":
         sums = [n for n in doc["nodes"] if n["type"] == "sum" and len(n["scope"]) == 1]
         other = next(n for n in sums if n["scope"] != sums[-1]["scope"])
@@ -395,7 +413,10 @@ def corrupt(doc, corruption):
         "leaf_rows_outside_region",
         "unnormalized_root_weights",
         "output_partition_repeats_child",
-        "cell_moved_off_child_region",
+        "edges_not_increasing",
+        "edge_below_parent_interval",
+        "edge_moved_past_leaf_rows",
+        "edge_count_wrong",
         "sum_child_from_other_scope",
         "split_dim_out_of_range",
         "unreachable_node",

@@ -305,3 +305,16 @@ def test_refit_swaps_hyperparams():
     assert leaf.cached_mll != before
     with pytest.raises(ValueError):
         leaf.refit(unit_hyper(leaf.n_dims + 1))
+
+
+def test_posterior_rejects_non_finite_query_rows():
+    rng = np.random.default_rng(9)
+    leaf = random_leaf(rng, d=2)
+    for bad in (np.nan, np.inf):
+        xq = np.zeros((3, 2))
+        xq[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            leaf.posterior_batch(xq)
+    # finite, but so far away that the kernel's distance overflows
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        leaf.posterior_batch(np.full((2, 2), 1e200))

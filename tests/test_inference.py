@@ -231,16 +231,12 @@ def test_query_validation():
 
 
 def test_routing_edges_go_right():
-    cells = [
-        Region([-np.inf], [0.0]),
-        Region([0.0], [2.0]),
-        Region([2.0], [np.inf]),
-    ]
+    cells = R1.cut(0, [0.0, 2.0])
     leaves = [
         LeafNode(StubLeaf(float(i), 1.0), frozenset([0]), cells[i])
         for i in range(3)
     ]
-    px = ProductXNode([0, 1, 2], cells, 0, frozenset([0]), R1)
+    px = ProductXNode([0, 1, 2], 0, [0.0, 2.0], frozenset([0]), R1)
     circuit = manual_circuit(leaves + [px], 3)
     xq = np.array([[-1.0], [0.0], [1.99], [2.0], [50.0]])
     means, _ = predict_batch(circuit, xq)

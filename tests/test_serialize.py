@@ -1,15 +1,16 @@
 """Model persistence: canonical JSON, round trips, atomicity."""
 
 import json
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momogp.circuit import StructureConfig, SumNode, build, validate
+import oracles
+from momogp.circuit import ProductXNode, StructureConfig, SumNode, build, validate
 from momogp.data_pipeline import Dataset, PipelineTransforms, fit_pca, standardize
 from momogp.errors import SchemaError
-from momogp.inference import predict_batch
+from momogp.inference import log_predictive_density_batch, predict_batch
 from momogp.serialize import (
     SCHEMA_VERSION,
     dumps_canonical,
@@ -20,6 +21,8 @@ from momogp.serialize import (
     write_text_atomic,
 )
 from momogp.training import TrainConfig, train
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def fitted_model(seed=0, n=50, d=2, p=2):
@@ -108,14 +111,83 @@ def test_file_with_node_row_counts_loads_and_predicts_bitwise(tmp_path):
     assert resaved.read_bytes() == path.read_bytes()
 
 
-def test_unbounded_regions_use_null():
+def test_files_store_split_edges_and_no_regions():
     circuit, transforms, data = fitted_model(seed=4)
     text = dumps_canonical(model_to_dict(circuit, transforms, data.x, data.y))
     assert "Infinity" not in text
-    root_region = json.loads(text)["nodes"][circuit.root]["region"]
-    assert root_region["lower"] == [None] * circuit.n_dims
-    bundle = model_from_dict(json.loads(text))
-    assert math.isinf(bundle.circuit.nodes[circuit.root].region.upper[0])
+    doc = json.loads(text)
+    assert doc["schema_version"] == SCHEMA_VERSION == 2
+    for stored, node in zip(doc["nodes"], circuit.nodes):
+        assert "region" not in stored and "child_regions" not in stored
+        if isinstance(node, ProductXNode):
+            assert stored["edges"] == node.edges.tolist()
+            assert len(stored["edges"]) == len(stored["children"]) - 1
+    root = model_from_dict(doc).circuit.nodes[circuit.root]
+    assert np.all(np.isneginf(root.region.lower)) and np.all(np.isposinf(root.region.upper))
+
+
+def circuit_data(circuit):
+    """The training matrices a built circuit's leaves hold, row by row."""
+    n = 1 + max(int(node.leaf.row_idx.max()) for _, node in circuit.leaves())
+    x = np.zeros((n, circuit.n_dims))
+    y = np.zeros((n, circuit.n_outputs))
+    for _, node in circuit.leaves():
+        x[node.leaf.row_idx] = node.leaf.train_x
+        y[node.leaf.row_idx, node.leaf.scope_output] = node.leaf.train_y
+    return x, y
+
+
+def assert_same_regions(built, loaded):
+    assert len(built.nodes) == len(loaded.nodes)
+    for a, b in zip(built.nodes, loaded.nodes):
+        np.testing.assert_array_equal(a.region.lower, b.region.lower)
+        np.testing.assert_array_equal(a.region.upper, b.region.upper)
+
+
+def test_loading_derives_the_builders_regions():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        circuit = oracles.random_circuit(rng)
+        x, y = circuit_data(circuit)
+        doc = json.loads(dumps_canonical(model_to_dict(circuit, None, x, y)))
+        assert_same_regions(circuit, model_from_dict(doc).circuit)
+
+
+def test_schema_1_file_loads_and_predicts_bitwise(tmp_path):
+    # Written by commit 1e38962, whose files stored every node's box and each
+    # covariate split's cell boxes: 12 rows, 2 covariates, 2 outputs and
+    # StructureConfig(k_sum=2, k_prod_x=2, k_prod_y=1, leaf_threshold=4,
+    # rng_seed=3), trained two epochs. The predictions file holds what that
+    # commit served for the queries in it; the first query lies on an edge.
+    old = FIXTURES / "model_schema1.json"
+    assert json.loads(old.read_text())["schema_version"] == 1
+    served = json.loads((FIXTURES / "model_schema1_predictions.json").read_text())
+    xq, yq = np.asarray(served["x"]), np.asarray(served["y"])
+
+    def assert_serves_the_same(circuit):
+        means, covs = predict_batch(circuit, xq)
+        np.testing.assert_array_equal(means, served["means"])
+        np.testing.assert_array_equal(covs, served["covs"])
+        for mode in ("moment_matched", "exact_mixture"):
+            np.testing.assert_array_equal(
+                log_predictive_density_batch(circuit, xq, yq, mode=mode), served[f"nlpd_{mode}"]
+            )
+
+    bundle = load_model(old)
+    assert_serves_the_same(bundle.circuit)
+    resaved = tmp_path / "resaved.json"
+    save_model(resaved, bundle.circuit, bundle.transforms, bundle.x, bundle.y, bundle.extras)
+    doc = json.loads(resaved.read_text())
+    assert doc["schema_version"] == 2
+    assert not any("region" in n or "child_regions" in n for n in doc["nodes"])
+    reloaded = load_model(resaved)
+    assert_serves_the_same(reloaded.circuit)
+    assert_same_regions(bundle.circuit, reloaded.circuit)
+    # a schema-1 split dimension past the stored cells' bounds is refused, not raised
+    doc = json.loads(old.read_text())
+    next(n for n in doc["nodes"] if n["type"] == "product_x")["split_dim"] = 7
+    with pytest.raises(SchemaError):
+        model_from_dict(doc)
 
 
 def test_schema_rejections():

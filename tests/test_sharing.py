@@ -160,6 +160,17 @@ def test_tree_shaped_model_file_loads_and_predicts_bitwise(trained, tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_saved_file_gives_every_node_the_builders_region(trained, tmp_path):
+    circuit, work, _ = trained
+    path = tmp_path / "model.json"
+    save_model(path, circuit, None, work.x, work.y)
+    loaded = load_model(path).circuit
+    assert len(loaded.nodes) == len(circuit.nodes)
+    for a, b in zip(circuit.nodes, loaded.nodes):
+        np.testing.assert_array_equal(a.region.lower, b.region.lower)
+        np.testing.assert_array_equal(a.region.upper, b.region.upper)
+
+
 def test_shared_leaf_starts_from_its_first_copys_draw():
     work, _, structure = image_problem()
     cfg = TrainConfig(max_epochs=0, rng_seed=4)
