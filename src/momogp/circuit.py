@@ -17,10 +17,14 @@ the root is the last node). The builder adds children first, and
 ``validate`` checks this rule for built and loaded circuits alike, so
 every bottom-up pass is a plain loop over the ids.
 
-The split edges are the only stored partition: the root is unbounded,
-a sum or an output partition hands its region to its children and a
-covariate split cuts it at its edges. The builder sets each ``region``
-as it cuts; ``validate`` and the loader derive them top-down.
+The split edges are the only stored covariate partition: the root is
+unbounded, a sum or an output partition hands its region to its children
+and a covariate split cuts it at its edges. The builder sets each
+``region`` as it cuts; ``validate`` and the loader derive them top-down.
+No node stores its scope either: a leaf models its output and any other
+node its children's outputs. ``validate`` derives the scopes bottom-up to
+check that sums and covariate splits are smooth and output partitions
+decomposable, the validity conditions of a sum-product network.
 
 Leaves are shared. Every split uses half-open boxes, so splitting
 dimension a then b gives the same cells as b then a; a leaf's training
@@ -110,17 +114,15 @@ class Region:
         x = np.asarray(x, dtype=float)
         return np.all(x >= self.lower, axis=1) & np.all(x < self.upper, axis=1)
 
-    def with_interval(self, dim: int, lo: float, hi: float) -> "Region":
-        lower = self.lower.copy()
-        upper = self.upper.copy()
-        lower[dim] = lo
-        upper[dim] = hi
-        return Region(lower, upper)
-
     def cut(self, dim: int, edges) -> list["Region"]:
         """The cells of this box cut along ``dim`` at the sorted interior ``edges``."""
         bounds = [self.lower[dim], *edges, self.upper[dim]]
-        return [self.with_interval(dim, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        cells = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            lower, upper = self.lower.copy(), self.upper.copy()
+            lower[dim], upper[dim] = lo, hi
+            cells.append(Region(lower, upper))
+        return cells
 
 
 @dataclass
@@ -153,7 +155,6 @@ class StructureConfig:
 class SumNode:
     children: list[int]
     log_weights: np.ndarray
-    scope: frozenset[int]
     region: Optional[Region] = None
 
     def __post_init__(self):
@@ -170,7 +171,6 @@ class ProductXNode:
     children: list[int]
     split_dim: int
     edges: np.ndarray
-    scope: frozenset[int]
     region: Optional[Region] = None
 
     def __post_init__(self):
@@ -186,14 +186,12 @@ class ProductXNode:
 @dataclass
 class ProductYNode:
     children: list[int]
-    scope: frozenset[int]
     region: Optional[Region] = None
 
 
 @dataclass
 class LeafNode:
     leaf: GpLeaf
-    scope: frozenset[int]
     region: Optional[Region] = None
 
 
@@ -263,7 +261,7 @@ class _Builder:
             for k in range(cfg.k_sum)
         ]
         log_w = np.full(cfg.k_sum, -math.log(cfg.k_sum))
-        return self.add(SumNode(children, log_w, scope, region))
+        return self.add(SumNode(children, log_w, region))
 
     def build_prod_x(
         self, region: Region, rows: np.ndarray, scope: frozenset, dim: int
@@ -290,7 +288,7 @@ class _Builder:
             self.build_prod_y(cell, rows[cell_of == j], scope, True)
             for j, cell in enumerate(region.cut(dim, edges))
         ]
-        return self.add(ProductXNode(children, dim, edges, scope, region))
+        return self.add(ProductXNode(children, dim, edges, region))
 
     def build_prod_y(
         self, region: Region, rows: np.ndarray, scope: frozenset, can_split_x: bool
@@ -319,7 +317,7 @@ class _Builder:
             ]
         else:
             children = [self.add_leaf(region, rows, p) for p in scope_sorted]
-        return self.add(ProductYNode(children, scope, region))
+        return self.add(ProductYNode(children, region))
 
     def add_leaf(self, region: Region, rows: np.ndarray, output: int) -> int:
         """The leaf of (region, output), added on first request and shared after."""
@@ -336,7 +334,7 @@ class _Builder:
             hyperparams=hyper,
             row_idx=rows.copy(),
         )
-        self.leaf_by_key[key] = self.add(LeafNode(leaf, frozenset([output]), region))
+        self.leaf_by_key[key] = self.add(LeafNode(leaf, region))
         return self.leaf_by_key[key]
 
 
@@ -451,74 +449,64 @@ def _derive_regions(circuit: Circuit, problems: list[str]) -> list[Optional[Regi
     return regions
 
 
-def _check_sum(i: int, node: SumNode, nodes: list, problems: list[str]):
-    if len(node.children) < 1:
-        problems.append(f"node {i}: sum without children")
-        return
-    if not np.all(np.isfinite(node.log_weights)):
-        problems.append(f"node {i}: non-finite log weights")
-        return
-    residual = float(np.logaddexp.reduce(node.log_weights))
-    if abs(residual) > 1e-12:
-        problems.append(f"node {i}: weights sum to exp({residual}) != 1")
-    for child in node.children:
-        if nodes[child].scope != node.scope:
-            problems.append(f"node {i}: sum child {child} changes scope")
-
-
-def _check_product_y(i: int, node: ProductYNode, nodes: list, problems: list[str]):
-    if len(node.children) < 1:
-        problems.append(f"node {i}: output partition without children")
-        return
-    scopes = [nodes[child].scope for child in node.children]
-    if sum(map(len, scopes)) != len(node.scope) or frozenset().union(*scopes) != node.scope:
-        problems.append(f"node {i}: children do not partition the output scope")
-
-
-def _check_leaf(i: int, node: LeafNode, region: Region, problems: list[str]):
-    if node.scope != frozenset([node.leaf.scope_output]):
-        problems.append(f"node {i}: leaf scope disagrees with its output index")
-    if node.leaf.n_dims != region.n_dims:
-        problems.append(f"node {i}: leaf dimensionality mismatch")
-    elif not np.all(region.contains_rows(node.leaf.train_x)):
-        problems.append(f"node {i}: leaf rows fall outside its region")
+def _check_nodes(circuit: Circuit, problems: list[str]):
+    """Bottom-up: every sum's weights, and every node's scope (the outputs it
+    models) derived from its leaves' outputs. The children of a sum or a
+    covariate split must model the same outputs, those of an output partition
+    disjoint ones, and the root every output."""
+    scopes: list[frozenset[int]] = []
+    for i, node in enumerate(circuit.nodes):
+        if isinstance(node, LeafNode):
+            scopes.append(frozenset([node.leaf.scope_output]))
+            continue
+        parts = [scopes[c] for c in node.children]
+        scopes.append(frozenset().union(*parts))
+        if not parts:
+            problems.append(f"node {i}: no children")
+        elif isinstance(node, ProductYNode):
+            if sum(map(len, parts)) != len(scopes[i]):
+                problems.append(f"node {i}: output-partition children share an output")
+        elif any(part != scopes[i] for part in parts):
+            problems.append(f"node {i}: children model different outputs")
+        if isinstance(node, SumNode) and parts:
+            if not np.all(np.isfinite(node.log_weights)):
+                problems.append(f"node {i}: non-finite log weights")
+            elif abs(residual := float(np.logaddexp.reduce(node.log_weights))) > 1e-12:
+                problems.append(f"node {i}: weights sum to exp({residual}) != 1")
+    if scopes[circuit.root] != frozenset(range(circuit.n_outputs)):
+        problems.append(f"root scope is not the {circuit.n_outputs} outputs")
 
 
 def validate(circuit: Circuit) -> list[str]:
-    """Structural invariant check; returns human-readable violations (empty when sound)."""
-    return _validated_regions(circuit)[1]
+    """Structural invariant check; returns human-readable violations (empty when
+    sound). It also checks that each leaf's training rows lie in its region,
+    which a loaded leaf holds by construction."""
+    regions, problems = _validated_regions(circuit)
+    for i, region in enumerate(regions):
+        node = circuit.nodes[i]
+        if region is None or not isinstance(node, LeafNode):
+            continue
+        if node.leaf.n_dims != region.n_dims:
+            problems.append(f"node {i}: leaf dimensionality mismatch")
+        elif not np.all(region.contains_rows(node.leaf.train_x)):
+            problems.append(f"node {i}: leaf rows fall outside its region")
+    return problems
 
 
 def _validated_regions(circuit: Circuit) -> tuple[list[Optional[Region]], list[str]]:
-    """``validate``'s pass: every node's derived region and the violations.
+    """The stored structure's check: every node's derived region and the violations.
 
-    The rest runs only when the links are sound. Regions are derived, never
-    compared with a copy, so of them only what the edges do not guarantee is
-    checked: the edge count, finite edges strictly increasing inside the
-    parent's interval, one region per node, leaf rows inside their region.
+    The rest runs only when the links are sound. Regions and scopes are
+    derived, never compared with a copy, so only what the edges and the
+    leaves' outputs do not guarantee is checked.
     """
-    nodes = circuit.nodes
-    if not 0 <= circuit.root < len(nodes):
+    if not 0 <= circuit.root < len(circuit.nodes):
         return [], [f"root id {circuit.root} outside the node array"]
     problems = _check_ids(circuit)
     if problems:
         return [], problems
-    if nodes[circuit.root].scope != frozenset(range(circuit.n_outputs)):
-        problems.append(f"root scope is not the {circuit.n_outputs} outputs")
-    regions = _derive_regions(circuit, problems)
-    for i, node in enumerate(nodes):
-        if isinstance(node, SumNode):
-            _check_sum(i, node, nodes, problems)
-        elif isinstance(node, ProductYNode):
-            _check_product_y(i, node, nodes, problems)
-        elif isinstance(node, LeafNode):
-            if regions[i] is not None:
-                _check_leaf(i, node, regions[i], problems)
-        else:
-            for child in node.children:
-                if nodes[child].scope != node.scope:
-                    problems.append(f"node {i}: covariate-split child {child} changes scope")
-    return regions, problems
+    _check_nodes(circuit, problems)
+    return _derive_regions(circuit, problems), problems
 
 
 def count_induced_trees(circuit: Circuit) -> int:

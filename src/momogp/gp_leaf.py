@@ -177,8 +177,8 @@ class GpLeaf:
 
     The leaf keeps its own training subset (rows of the circuit's
     training data) plus the cached fit state. ``row_idx`` records which
-    rows of the full training matrix the subset came from, which keeps
-    serialized models small.
+    rows of the full training matrix the subset came from; the builder
+    and the loader set it.
     """
 
     scope_output: int

@@ -56,7 +56,7 @@ def compute_evidence(circuit: Circuit) -> np.ndarray:
                 raise NotFittedError(f"leaf node {node_id} has no cached likelihood")
             z[node_id] = node.leaf.cached_mll
         elif isinstance(node, SumNode):
-            z[node_id] = logsumexp(node.log_weights + z[node.children])
+            z[node_id] = np.logaddexp.reduce(node.log_weights + z[node.children])
         else:
             z[node_id] = float(np.sum(z[np.asarray(node.children)]))
     return z
@@ -68,7 +68,7 @@ def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
     for node_id, node in enumerate(circuit.nodes):
         if isinstance(node, SumNode):
             log_w = node.log_weights + z[node.children] - z[node_id]
-            node.log_weights = log_w - logsumexp(log_w)
+            node.log_weights = log_w - np.logaddexp.reduce(log_w)
     return float(z[circuit.root])
 
 
@@ -248,6 +248,7 @@ def _log_density_exact(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> np.nda
 
     def at_sum(node, parts):
         stacked = np.stack([node.log_weights[k] + part for k, (part,) in enumerate(parts)])
+        # scipy's rounding keeps served exact densities those of earlier versions
         return (logsumexp(stacked, axis=0),)
 
     return _fold(circuit, x, True, at_leaf, at_sum)[0]

@@ -2,20 +2,27 @@
 
 A model file is a single JSON document holding the node array (ids are
 array positions), the training matrices in pipeline space, the fitted
-preprocessing transforms and the structure config. Leaves store kernel
-hyperparameters plus the row indices of their training subset, so the
-heavy per-leaf state (Cholesky factor, alpha) is reproduced exactly by
-refitting on load rather than stored. A leaf that several nodes share is
-one entry, refitted once.
+preprocessing transforms and the structure config. Leaves store their
+output and kernel hyperparameters; the heavy per-leaf state (Cholesky
+factor, alpha) is reproduced exactly by refitting on load rather than
+stored. A leaf that several nodes share is one entry, refitted once.
 
-No node stores a region box (schema_version 2). A covariate split stores
-its ``split_dim`` and its sorted interior ``edges``. Before any leaf is
-refitted, the loader derives every node's region from the root in the
-pass that runs ``validate``'s checks. Schema-1 files stored every node's
-box and each split's cell boxes as well; they still load. A schema-1 split's edges are its cells' upper
-bounds on the split dimension, all but the last, and the stored boxes
-are ignored: routing only ever read those edges, and the leaf rows are
-stored apart, so such a file serves the same numbers as before.
+A file stores the partitions and nothing they imply (schema_version 3).
+A covariate split stores its ``split_dim`` and its sorted interior
+``edges``, and a leaf its output. Before any leaf is refitted, the loader
+derives every node's region from the root in the pass that runs
+``validate``'s checks, and gives each leaf the stored rows inside its
+region, in ascending order as the builder assigns them. No node stores a
+region box, its scope or a leaf's rows. Saving refuses a leaf whose
+training data are not those rows, so a written file loads as the model
+that wrote it.
+
+Earlier files still load, and their stored copies are ignored: each
+node's ``scope`` and each leaf's ``rows``, and in schema 1 every node's box
+and each split's cell boxes, whose upper bounds on the split dimension
+(all but the last) are the split's edges. Routing only ever read those
+edges, and a saved leaf's rows were always the stored rows inside its
+region, so such a file serves the same numbers as before.
 
 Serialisation is byte-deterministic: keys are sorted and floats use
 Python's shortest round-trip repr. Writes go to a temp file in the
@@ -28,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -46,93 +53,86 @@ from .data_pipeline import PcaTransform, PipelineTransforms, Standardization
 from .errors import NumericalError, SchemaError
 from .gp_leaf import GpLeaf, KernelHyperparams
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _MODEL_KIND = "momogp_model"
 
 
+_KINDS = {SumNode: "sum", ProductXNode: "product_x", ProductYNode: "product_y"}
+
+
 def _node_to_json(node) -> dict:
-    base = {"scope": sorted(int(s) for s in node.scope)}
-    if isinstance(node, SumNode):
-        return {
-            "type": "sum",
-            "children": [int(c) for c in node.children],
-            "log_weights": [float(w) for w in node.log_weights],
-            **base,
-        }
-    if isinstance(node, ProductXNode):
-        return {
-            "type": "product_x",
-            "children": [int(c) for c in node.children],
-            "split_dim": int(node.split_dim),
-            "edges": node.edges.tolist(),
-            **base,
-        }
-    if isinstance(node, ProductYNode):
-        return {
-            "type": "product_y",
-            "children": [int(c) for c in node.children],
-            **base,
-        }
     if isinstance(node, LeafNode):
-        leaf = node.leaf
-        if leaf.row_idx is None:
-            raise SchemaError(
-                "leaf lacks row indices; only circuits built from a dataset serialize"
-            )
+        hyper = node.leaf.hyperparams
         return {
             "type": "leaf",
-            "output": int(leaf.scope_output),
-            "rows": np.asarray(leaf.row_idx).tolist(),
+            "output": int(node.leaf.scope_output),
             "hyperparams": {
-                "log_lengthscales": [float(v) for v in leaf.hyperparams.log_lengthscales],
-                "log_signal_variance": float(leaf.hyperparams.log_signal_variance),
-                "log_noise_variance": float(leaf.hyperparams.log_noise_variance),
+                "log_lengthscales": hyper.log_lengthscales.tolist(),
+                "log_signal_variance": float(hyper.log_signal_variance),
+                "log_noise_variance": float(hyper.log_noise_variance),
             },
-            **base,
         }
-    raise SchemaError(f"cannot serialize node type {type(node).__name__}")
+    if type(node) not in _KINDS:
+        raise SchemaError(f"cannot serialize node type {type(node).__name__}")
+    out = {"type": _KINDS[type(node)], "children": [int(c) for c in node.children]}
+    if isinstance(node, SumNode):
+        out["log_weights"] = node.log_weights.tolist()
+    elif isinstance(node, ProductXNode):
+        out.update(split_dim=int(node.split_dim), edges=node.edges.tolist())
+    return out
+
+
+def _leaf_rows(leaves: list, x: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``x`` inside each leaf's region, ascending as the builder
+    assigns them: one comparison per distinct region, blocks of regions at once."""
+    bounds = np.array([np.concatenate([n.region.lower, n.region.upper]) for _, n in leaves])
+    bounds, which = np.unique(bounds, axis=0, return_inverse=True)
+    # reducing over the middle axis of (region, dim, row) keeps numpy's inner loop long
+    d, columns, rows = x.shape[1], np.ascontiguousarray(x.T), []
+    step = max(1, 2**22 // max(x.size, 1))  # bounds the block's n x d temporaries
+    for block in np.split(bounds[:, :, None], range(step, len(bounds), step)):
+        inside = np.all((columns >= block[:, :d]) & (columns < block[:, d:]), axis=1)
+        rows += [np.flatnonzero(row) for row in inside]
+    return [rows[k] for k in which.ravel()]
+
+
+def _integer(value, name: str) -> int:
+    """A stored integer; a JSON float or bool is refused, never truncated."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _node_from_json(obj: dict, x: np.ndarray, y: np.ndarray, version: int):
-    """One stored node, without its region; the loader derives that."""
+    """One stored node, without its region; the loader derives that.
+
+    A leaf holds every stored row until the loader narrows it to its
+    region. Earlier files' ``scope`` and leaf ``rows`` keys are ignored.
+    """
     kind = obj["type"]
-    scope = frozenset(int(s) for s in obj["scope"])
-    if kind == "sum":
-        return SumNode(
-            [int(c) for c in obj["children"]],
-            np.asarray(obj["log_weights"], dtype=float),
-            scope,
-        )
-    if kind == "product_x":
-        dim = int(obj["split_dim"])
-        if version == 1:  # each cell's box; all but the last end at an edge
-            edges = [cell["upper"][dim] for cell in obj["child_regions"][:-1]]
-        else:
-            edges = obj["edges"]
-        return ProductXNode([int(c) for c in obj["children"]], dim, edges, scope)
-    if kind == "product_y":
-        return ProductYNode([int(c) for c in obj["children"]], scope)
     if kind == "leaf":
-        rows = np.asarray(obj["rows"], dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
-            raise SchemaError("leaf row indices fall outside the stored data")
+        output = _integer(obj["output"], "leaf output")
+        if not 0 <= output < y.shape[1]:
+            raise SchemaError(f"leaf output {output} outside [0, {y.shape[1]})")
         hp = obj["hyperparams"]
         hyper = KernelHyperparams(
             np.asarray(hp["log_lengthscales"], dtype=float),
             float(hp["log_signal_variance"]),
             float(hp["log_noise_variance"]),
         )
-        output = int(obj["output"])
-        if not 0 <= output < y.shape[1]:
-            raise SchemaError(f"leaf output {output} outside [0, {y.shape[1]})")
-        leaf = GpLeaf(
-            scope_output=output,
-            train_x=x[rows],
-            train_y=y[rows, output],
-            hyperparams=hyper,
-            row_idx=rows,
-        )
-        return LeafNode(leaf, scope)
+        return LeafNode(GpLeaf(output, x, y[:, output], hyper))
+    children = [_integer(c, "child id") for c in obj["children"]]
+    if kind == "sum":
+        return SumNode(children, np.asarray(obj["log_weights"], dtype=float))
+    if kind == "product_x":
+        dim = _integer(obj["split_dim"], "split_dim")
+        if version == 1:  # each cell's box; all but the last end at an edge
+            edges = [cell["upper"][dim] for cell in obj["child_regions"][:-1]]
+        else:
+            edges = obj["edges"]
+        return ProductXNode(children, dim, edges)
+    if kind == "product_y":
+        return ProductYNode(children)
     raise SchemaError(f"unknown node type {kind!r}")
 
 
@@ -200,6 +200,15 @@ def model_to_dict(
 ) -> dict:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    # a leaf on other rows than those inside its region would load as another model
+    leaves = list(circuit.leaves())
+    if any(node.region is None for _, node in leaves):
+        raise SchemaError("a leaf has no region; only built or loaded circuits serialize")
+    for (i, node), rows in zip(leaves, _leaf_rows(leaves, x)):
+        leaf = node.leaf
+        if not (np.array_equal(leaf.train_x, x[rows])
+                and np.array_equal(leaf.train_y, y[rows, leaf.scope_output])):
+            raise SchemaError(f"leaf node {i}: its data are not the rows inside its region")
     # tolist gives the same python floats as float() per element, in one C pass
     return {
         "kind": _MODEL_KIND,
@@ -209,10 +218,7 @@ def model_to_dict(
         "root": circuit.root,
         "structure_config": asdict(circuit.config),
         "nodes": [_node_to_json(node) for node in circuit.nodes],
-        "data": {
-            "x": x.tolist(),
-            "y": y.tolist(),
-        },
+        "data": {"x": x.tolist(), "y": y.tolist()},
         "transforms": _transforms_to_json(transforms),
         "extras": dict(extras or {}),
     }
@@ -222,9 +228,9 @@ def model_from_dict(obj: dict) -> ModelBundle:
     if not isinstance(obj, dict) or obj.get("kind") != _MODEL_KIND:
         raise SchemaError("not a model file")
     version = obj.get("schema_version")
-    if version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise SchemaError(
-            f"unsupported schema_version {version!r}; expected 1 or {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; expected 1 to {SCHEMA_VERSION}"
         )
     required = ("nodes", "root", "n_outputs", "n_dims", "data", "structure_config")
     missing = [key for key in required if key not in obj]
@@ -233,11 +239,11 @@ def model_from_dict(obj: dict) -> ModelBundle:
     try:
         x = np.asarray(obj["data"]["x"], dtype=float)
         y = np.asarray(obj["data"]["y"], dtype=float)
-        if x.ndim != 2 or x.shape[1] != int(obj["n_dims"]):
+        if x.ndim != 2 or x.shape[1] != _integer(obj["n_dims"], "n_dims"):
             raise SchemaError("stored x must be a 2-d array with n_dims columns")
         if y.ndim == 1:
             y = y.reshape(x.shape[0], -1)
-        if y.shape != (x.shape[0], int(obj["n_outputs"])):
+        if y.shape != (x.shape[0], _integer(obj["n_outputs"], "n_outputs")):
             raise SchemaError("stored y must have one row per x row and n_outputs columns")
         for name, values in (("x", x), ("y", y)):
             if not np.all(np.isfinite(values)):
@@ -247,18 +253,21 @@ def model_from_dict(obj: dict) -> ModelBundle:
         )
         config.validate()
         nodes = [_node_from_json(n, x, y, version) for n in obj["nodes"]]
-        circuit = Circuit(
-            nodes=nodes,
-            root=int(obj["root"]),
-            n_outputs=y.shape[1],
-            n_dims=x.shape[1],
-            config=config,
-        )
+        circuit = Circuit(nodes, _integer(obj["root"], "root"), y.shape[1], x.shape[1], config)
         regions, problems = _validated_regions(circuit)
         if problems:
             raise SchemaError(f"invalid circuit: {problems[0]}")
         for node, region in zip(nodes, regions):
             node.region = region
+        leaves = list(circuit.leaves())
+        for (i, node), rows in zip(leaves, _leaf_rows(leaves, x)):
+            leaf, n_scales = node.leaf, node.leaf.hyperparams.log_lengthscales.size
+            if n_scales != x.shape[1]:
+                raise SchemaError(f"leaf node {i}: {n_scales} lengthscales for {x.shape[1]} dims")
+            if rows.size == 0:
+                raise SchemaError(f"leaf node {i}: its region holds no stored row")
+            y_rows = y[rows, leaf.scope_output]
+            node.leaf = replace(leaf, train_x=x[rows], train_y=y_rows, row_idx=rows)
         stored_transforms = obj.get("transforms") or {}
         extras = obj.get("extras") or {}
         for name, value in (("transforms", stored_transforms), ("extras", extras)):

@@ -32,6 +32,20 @@ SQRT3 = math.sqrt(3.0)
 LOG2PI = math.log(2.0 * math.pi)
 
 
+# ------------------------------------------------------------------- scopes
+
+
+def node_scopes(circuit: Circuit) -> list[set]:
+    """The outputs each node models: a leaf its own, any other node its children's."""
+    scopes = []
+    for node in circuit.nodes:
+        if isinstance(node, LeafNode):
+            scopes.append({node.leaf.scope_output})
+        else:
+            scopes.append(set().union(*(scopes[c] for c in node.children)))
+    return scopes
+
+
 # ---------------------------------------------------------------- kernel / GP
 
 

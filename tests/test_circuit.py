@@ -41,7 +41,7 @@ def test_region_half_open_edges():
 def test_region_unbounded_covers_everything():
     r = Region.unbounded(2)
     assert r.contains_rows(np.array([[1e30, -1e30]])).tolist() == [True]
-    sub = r.with_interval(1, -1.0, 2.0)
+    sub = r.cut(1, [-1.0, 2.0])[1]
     assert sub.contains_rows(np.array([[5.0, 1.9], [5.0, 2.0]])).tolist() == [True, False]
 
 
@@ -85,7 +85,7 @@ def test_default_build_shape():
     assert info["sum"] > 0 and info["product_y"] > 0 and info["leaf"] > 0
     root = circuit.nodes[circuit.root]
     assert isinstance(root, SumNode)
-    assert root.scope == frozenset(range(data.n_outputs))
+    assert oracles.node_scopes(circuit)[circuit.root] == set(range(data.n_outputs))
     assert np.array_equal(root.region.lower, np.full(data.n_dims, -np.inf))
     assert np.array_equal(root.region.upper, np.full(data.n_dims, np.inf))
 
@@ -125,9 +125,9 @@ def test_same_seed_same_structure():
     a = build(data, cfg)
     b = build(data, cfg)
     assert len(a) == len(b)
+    assert oracles.node_scopes(a) == oracles.node_scopes(b)
     for na, nb in zip(a.nodes, b.nodes):
         assert type(na) is type(nb)
-        assert na.scope == nb.scope
         assert np.array_equal(na.region.lower, nb.region.lower)
         assert np.array_equal(na.region.upper, nb.region.upper)
         if isinstance(na, LeafNode):
@@ -142,11 +142,10 @@ def test_different_seed_changes_output_partition():
     b = build(data, cfg_b)
 
     def first_partition(circuit):
+        scopes = oracles.node_scopes(circuit)
         for node in circuit.nodes:
             if isinstance(node, ProductYNode) and len(node.children) > 1:
-                return sorted(
-                    tuple(sorted(circuit.nodes[c].scope)) for c in node.children
-                )
+                return sorted(tuple(sorted(scopes[c])) for c in node.children)
         return None
 
     # seeds drive the random scope split; these two seeds disagree
@@ -277,24 +276,60 @@ def test_validate_flags_bad_edges(edges, message):
     assert any(message in p for p in validate(circuit))
 
 
-def test_validate_flags_parents_that_derive_different_regions():
-    def leaf(x):
-        x = np.array([[x]])
-        hyper = KernelHyperparams([0.0], 0.0, 0.0)
-        return LeafNode(GpLeaf(0, x, np.zeros(1), hyper), frozenset([0]))
+def point_leaf(x, output=0):
+    """A leaf on one training row, at covariate ``x``."""
+    hyper = KernelHyperparams([0.0], 0.0, 0.0)
+    return LeafNode(GpLeaf(output, np.array([[x]]), np.zeros(1), hyper))
 
+
+def test_validate_flags_parents_that_derive_different_regions():
     def circuit(second_edge):
         # leaf 0 sits in the left cell of both splits
         nodes = [
-            leaf(-1.0), leaf(0.5), leaf(1.5),
-            ProductXNode([0, 1], 0, [0.0], frozenset([0])),
-            ProductXNode([0, 2], 0, [second_edge], frozenset([0])),
-            SumNode([3, 4], np.log([0.5, 0.5]), frozenset([0])),
+            point_leaf(-1.0), point_leaf(0.5), point_leaf(1.5),
+            ProductXNode([0, 1], 0, [0.0]),
+            ProductXNode([0, 2], 0, [second_edge]),
+            SumNode([3, 4], np.log([0.5, 0.5])),
         ]
         return Circuit(nodes, 5, 1, 1, StructureConfig())
 
     assert validate(circuit(0.0)) == []
     assert validate(circuit(1.0)) == ["node 0: its parents derive different regions for it"]
+
+
+@pytest.mark.parametrize(
+    "parent, sound, broken, problems",
+    [
+        # smooth: a sum's children model the same outputs
+        (
+            lambda: SumNode([0, 1], np.log([0.5, 0.5])), (0, 0, 1), (0, 1, 2),
+            ["node 2: children model different outputs"],
+        ),
+        # smooth: so do a covariate split's
+        (
+            lambda: ProductXNode([0, 1], 0, [0.0]), (0, 0, 1), (0, 1, 2),
+            ["node 2: children model different outputs"],
+        ),
+        # decomposable: an output partition's children model disjoint outputs
+        (
+            lambda: ProductYNode([0, 1]), (0, 1, 2), (0, 0, 1),
+            ["node 2: output-partition children share an output"],
+        ),
+        # complete: the root models every output
+        (
+            lambda: ProductYNode([0, 1]), (0, 1, 2), (0, 1, 3),
+            ["root scope is not the 3 outputs"],
+        ),
+    ],
+)
+def test_validate_checks_scopes_derived_from_leaf_outputs(parent, sound, broken, problems):
+    def circuit(outputs):
+        first, second, n_outputs = outputs
+        nodes = [point_leaf(-1.0, first), point_leaf(1.0, second), parent()]
+        return Circuit(nodes, 2, n_outputs, 1, StructureConfig())
+
+    assert validate(circuit(sound)) == []
+    assert validate(circuit(broken)) == problems
 
 
 def test_validate_flags_bad_root():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import momogp.cli as cli
+import oracles
 from momogp.data_pipeline import synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
@@ -144,9 +145,8 @@ def test_sumgp_structure_flag(tmp_path):
     doc = json.loads(model.read_text())
     assert doc["structure_config"]["k_prod_x"] == 1
     assert all(node["type"] != "product_x" for node in doc["nodes"])
-    assert all(
-        len(node["rows"]) == 40 for node in doc["nodes"] if node["type"] == "leaf"
-    )
+    leaves = model_from_dict(doc).circuit.leaves()
+    assert all(node.leaf.n_train == 40 for _, node in leaves)
 
 
 def test_evaluate_both_nlpd_modes(tmp_path, trained_model):
@@ -332,10 +332,6 @@ def corrupt(doc, corruption):
     if corruption == "leaf_output_negative":
         leaf["output"] = -1
         return "leaf output"
-    if corruption == "leaf_rows_outside_region":
-        last = [n for n in doc["nodes"] if n["type"] == "leaf"][-1]
-        leaf["rows"] = list(last["rows"])
-        return "outside its region"
     if corruption == "output_partition_repeats_child":
         split = next(n for n in doc["nodes"] if n["type"] == "product_y" and len(n["children"]) > 1)
         split["children"][1] = split["children"][0]
@@ -357,19 +353,35 @@ def corrupt(doc, corruption):
         return "edges leave the region's interval"
     if corruption == "edge_moved_past_leaf_rows":
         # still increasing and inside the interval, but every row of the
-        # second cell now lies in the first cell's box
+        # second cell now lies in the first cell, so the second holds none
         x = np.asarray(doc["data"]["x"])
         column = x[node.region.contains_rows(x), node.split_dim]
         edges[0] = 0.5 * (column[column < edges[1]].max() + edges[1])
-        return "outside its region"
+        return "its region holds no stored row"
     if corruption == "edge_count_wrong":
         edges.pop()
         return "1 edges for 3 cells"
     if corruption == "sum_child_from_other_scope":
-        sums = [n for n in doc["nodes"] if n["type"] == "sum" and len(n["scope"]) == 1]
-        other = next(n for n in sums if n["scope"] != sums[-1]["scope"])
-        sums[-1]["children"][0] = other["children"][0]
+        circuit = model_from_dict(json.loads(json.dumps(doc))).circuit
+        scopes = oracles.node_scopes(circuit)
+        sums = [
+            i for i, n in enumerate(doc["nodes"]) if n["type"] == "sum" and len(scopes[i]) == 1
+        ]
+        other = next(i for i in sums if scopes[i] != scopes[sums[-1]])
+        doc["nodes"][sums[-1]]["children"][0] = doc["nodes"][other]["children"][0]
         return "unreachable"
+    if corruption.endswith("_not_integer"):
+        # numbers a truncating loader would read as other integers, and a bool
+        key, value = corruption[: -len("_not_integer")], 0.5
+        if key in ("root", "n_dims", "n_outputs"):
+            doc[key] += value
+        elif key == "child_id":
+            inner["children"][0] = value
+        elif key == "split_dim":
+            next(n for n in doc["nodes"] if n["type"] == "product_x")["split_dim"] = True
+        else:
+            leaf["output"] += value
+        return "must be an integer"
     if corruption == "split_dim_out_of_range":
         next(n for n in doc["nodes"] if n["type"] == "product_x")["split_dim"] = 7
         return "split dimension"
@@ -410,7 +422,6 @@ def corrupt(doc, corruption):
         "child_out_of_range",
         "leaf_output_too_large",
         "leaf_output_negative",
-        "leaf_rows_outside_region",
         "unnormalized_root_weights",
         "output_partition_repeats_child",
         "edges_not_increasing",
@@ -419,6 +430,12 @@ def corrupt(doc, corruption):
         "edge_count_wrong",
         "sum_child_from_other_scope",
         "split_dim_out_of_range",
+        "root_not_integer",
+        "n_dims_not_integer",
+        "n_outputs_not_integer",
+        "child_id_not_integer",
+        "split_dim_not_integer",
+        "leaf_output_not_integer",
         "unreachable_node",
         "y_mean_nan",
         "y_std_negative",

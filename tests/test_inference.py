@@ -81,11 +81,11 @@ def test_renormalize_two_component_example():
     # prior (1/2, 1/2) with child evidences (0, log 3):
     # Z = log 2, posterior weights (1/4, 3/4)
     nodes = [
-        LeafNode(StubLeaf(0, 1, mll=0.0), frozenset([0]), R1),
-        LeafNode(StubLeaf(0, 1, mll=math.log(3.0)), frozenset([0]), R1),
+        LeafNode(StubLeaf(0, 1, mll=0.0), R1),
+        LeafNode(StubLeaf(0, 1, mll=math.log(3.0)), R1),
     ]
     nodes.append(
-        SumNode([0, 1], np.log([0.5, 0.5]), frozenset([0]), R1)
+        SumNode([0, 1], np.log([0.5, 0.5]), R1)
     )
     circuit = manual_circuit(nodes, 2)
     log_z = renormalize(circuit)
@@ -113,9 +113,9 @@ def test_mixture_variance_two_components():
     # equally weighted components at -1 and +1, unit variance:
     # mean 0, variance = E[v] + E[m^2] = 1 + 1 = 2
     nodes = [
-        LeafNode(StubLeaf(-1.0, 1.0), frozenset([0]), R1),
-        LeafNode(StubLeaf(1.0, 1.0), frozenset([0]), R1),
-        SumNode([0, 1], np.log([0.5, 0.5]), frozenset([0]), R1),
+        LeafNode(StubLeaf(-1.0, 1.0), R1),
+        LeafNode(StubLeaf(1.0, 1.0), R1),
+        SumNode([0, 1], np.log([0.5, 0.5]), R1),
     ]
     circuit = manual_circuit(nodes, 2)
     means, covs = predict_batch(circuit, X0)
@@ -128,17 +128,17 @@ def test_mixture_cross_covariance_two_outputs():
     # components ((0,0) vs (1,1)) with zero within-component variance:
     # cov = [[1/4, 1/4], [1/4, 1/4]]
     nodes = [
-        LeafNode(StubLeaf(0.0, 0.0, output=0), frozenset([0]), R1),
-        LeafNode(StubLeaf(0.0, 0.0, output=1), frozenset([1]), R1),
+        LeafNode(StubLeaf(0.0, 0.0, output=0), R1),
+        LeafNode(StubLeaf(0.0, 0.0, output=1), R1),
         None,
-        LeafNode(StubLeaf(1.0, 0.0, output=0), frozenset([0]), R1),
-        LeafNode(StubLeaf(1.0, 0.0, output=1), frozenset([1]), R1),
+        LeafNode(StubLeaf(1.0, 0.0, output=0), R1),
+        LeafNode(StubLeaf(1.0, 0.0, output=1), R1),
         None,
         None,
     ]
-    nodes[2] = ProductYNode([0, 1], frozenset([0, 1]), R1)
-    nodes[5] = ProductYNode([3, 4], frozenset([0, 1]), R1)
-    nodes[6] = SumNode([2, 5], np.log([0.5, 0.5]), frozenset([0, 1]), R1)
+    nodes[2] = ProductYNode([0, 1], R1)
+    nodes[5] = ProductYNode([3, 4], R1)
+    nodes[6] = SumNode([2, 5], np.log([0.5, 0.5]), R1)
     circuit = manual_circuit(nodes, 6, p=2)
     means, covs = predict_batch(circuit, X0)
     np.testing.assert_allclose(means[0], [0.5, 0.5], rtol=1e-14)
@@ -233,10 +233,10 @@ def test_query_validation():
 def test_routing_edges_go_right():
     cells = R1.cut(0, [0.0, 2.0])
     leaves = [
-        LeafNode(StubLeaf(float(i), 1.0), frozenset([0]), cells[i])
+        LeafNode(StubLeaf(float(i), 1.0), cells[i])
         for i in range(3)
     ]
-    px = ProductXNode([0, 1, 2], 0, [0.0, 2.0], frozenset([0]), R1)
+    px = ProductXNode([0, 1, 2], 0, [0.0, 2.0], R1)
     circuit = manual_circuit(leaves + [px], 3)
     xq = np.array([[-1.0], [0.0], [1.99], [2.0], [50.0]])
     means, _ = predict_batch(circuit, xq)
@@ -371,8 +371,8 @@ def test_density_input_validation():
 def test_single_point_wrappers():
     leaf = GpLeaf(0, [[0.0]], [2.0], KernelHyperparams([0.0], 0.0, 0.0)).fit()
     nodes = [
-        LeafNode(leaf, frozenset([0]), R1),
-        SumNode([0], np.zeros(1), frozenset([0]), R1),
+        LeafNode(leaf, R1),
+        SumNode([0], np.zeros(1), R1),
     ]
     circuit = manual_circuit(nodes, 1)
     means, covs = predict_batch(circuit, X0)

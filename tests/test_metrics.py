@@ -47,8 +47,8 @@ def test_mean_nlpd_single_gaussian():
     leaf = GpLeaf(0, [[0.0]], [2.0], KernelHyperparams([0.0], 0.0, 0.0)).fit()
     region = Region.unbounded(1)
     nodes = [
-        LeafNode(leaf, frozenset([0]), region),
-        SumNode([0], np.zeros(1), frozenset([0]), region),
+        LeafNode(leaf, region),
+        SumNode([0], np.zeros(1), region),
     ]
     circuit = Circuit(nodes, 1, 1, 1, StructureConfig())
     got = mean_nlpd(circuit, np.array([[0.0]]), np.array([[1.0]]))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
-from momogp.circuit import ProductXNode, StructureConfig, SumNode, build, validate
+from momogp.circuit import LeafNode, ProductXNode, StructureConfig, SumNode, build, validate
 from momogp.data_pipeline import Dataset, PipelineTransforms, fit_pca, standardize
 from momogp.errors import SchemaError
+from momogp.gp_leaf import GpLeaf
 from momogp.inference import log_predictive_density_batch, predict_batch
 from momogp.serialize import (
     SCHEMA_VERSION,
@@ -51,11 +52,15 @@ def test_roundtrip_preserves_structure_and_predictions():
     assert bundle.extras == {"note": 7}
     for a, b in zip(circuit.nodes, bundle.circuit.nodes):
         assert type(a) is type(b)
-        assert a.scope == b.scope
         assert np.array_equal(a.region.lower, b.region.lower)
         assert np.array_equal(a.region.upper, b.region.upper)
         if isinstance(a, SumNode):
             np.testing.assert_array_equal(a.log_weights, b.log_weights)
+        if isinstance(a, LeafNode):
+            # the loader gives each leaf the builder's rows, in the builder's order
+            assert a.leaf.scope_output == b.leaf.scope_output
+            np.testing.assert_array_equal(a.leaf.row_idx, b.leaf.row_idx)
+            np.testing.assert_array_equal(a.leaf.train_x, b.leaf.train_x)
     # refit on load reproduces the fitted state bit for bit
     rng = np.random.default_rng(1)
     xq = rng.normal(size=(9, circuit.n_dims))
@@ -116,9 +121,9 @@ def test_files_store_split_edges_and_no_regions():
     text = dumps_canonical(model_to_dict(circuit, transforms, data.x, data.y))
     assert "Infinity" not in text
     doc = json.loads(text)
-    assert doc["schema_version"] == SCHEMA_VERSION == 2
+    assert doc["schema_version"] == SCHEMA_VERSION == 3
     for stored, node in zip(doc["nodes"], circuit.nodes):
-        assert "region" not in stored and "child_regions" not in stored
+        assert not STORED_COPIES & stored.keys()
         if isinstance(node, ProductXNode):
             assert stored["edges"] == node.edges.tolist()
             assert len(stored["edges"]) == len(stored["children"]) - 1
@@ -153,6 +158,41 @@ def test_loading_derives_the_builders_regions():
         assert_same_regions(circuit, model_from_dict(doc).circuit)
 
 
+# keys earlier files stored and this version derives
+STORED_COPIES = {"region", "child_regions", "scope", "rows"}
+
+
+def assert_serves(circuit, served):
+    """``circuit`` serves bit for bit what a fixture's writing commit served."""
+    xq, yq = np.asarray(served["x"]), np.asarray(served["y"])
+    means, covs = predict_batch(circuit, xq)
+    np.testing.assert_array_equal(means, served["means"])
+    np.testing.assert_array_equal(covs, served["covs"])
+    for mode in ("moment_matched", "exact_mixture"):
+        np.testing.assert_array_equal(
+            log_predictive_density_batch(circuit, xq, yq, mode=mode), served[f"nlpd_{mode}"]
+        )
+
+
+def assert_resaved_file_serves_the_same(bundle, served, tmp_path):
+    resaved = tmp_path / "resaved.json"
+    save_model(resaved, bundle.circuit, bundle.transforms, bundle.x, bundle.y, bundle.extras)
+    doc = json.loads(resaved.read_text())
+    assert doc["schema_version"] == SCHEMA_VERSION
+    assert not any(STORED_COPIES & n.keys() for n in doc["nodes"])
+    reloaded = load_model(resaved)
+    assert_serves(reloaded.circuit, served)
+    assert_same_regions(bundle.circuit, reloaded.circuit)
+
+
+def assert_stored_copies_are_ignored(doc, served):
+    for stored in doc["nodes"]:
+        stored["scope"] = [99]
+        if stored["type"] == "leaf":
+            stored["rows"] = [10**6]
+    assert_serves(model_from_dict(doc).circuit, served)
+
+
 def test_schema_1_file_loads_and_predicts_bitwise(tmp_path):
     # Written by commit 1e38962, whose files stored every node's box and each
     # covariate split's cell boxes: 12 rows, 2 covariates, 2 outputs and
@@ -162,31 +202,75 @@ def test_schema_1_file_loads_and_predicts_bitwise(tmp_path):
     old = FIXTURES / "model_schema1.json"
     assert json.loads(old.read_text())["schema_version"] == 1
     served = json.loads((FIXTURES / "model_schema1_predictions.json").read_text())
-    xq, yq = np.asarray(served["x"]), np.asarray(served["y"])
-
-    def assert_serves_the_same(circuit):
-        means, covs = predict_batch(circuit, xq)
-        np.testing.assert_array_equal(means, served["means"])
-        np.testing.assert_array_equal(covs, served["covs"])
-        for mode in ("moment_matched", "exact_mixture"):
-            np.testing.assert_array_equal(
-                log_predictive_density_batch(circuit, xq, yq, mode=mode), served[f"nlpd_{mode}"]
-            )
-
     bundle = load_model(old)
-    assert_serves_the_same(bundle.circuit)
-    resaved = tmp_path / "resaved.json"
-    save_model(resaved, bundle.circuit, bundle.transforms, bundle.x, bundle.y, bundle.extras)
-    doc = json.loads(resaved.read_text())
-    assert doc["schema_version"] == 2
-    assert not any("region" in n or "child_regions" in n for n in doc["nodes"])
-    reloaded = load_model(resaved)
-    assert_serves_the_same(reloaded.circuit)
-    assert_same_regions(bundle.circuit, reloaded.circuit)
+    assert_serves(bundle.circuit, served)
+    assert_resaved_file_serves_the_same(bundle, served, tmp_path)
+    assert_stored_copies_are_ignored(json.loads(old.read_text()), served)
     # a schema-1 split dimension past the stored cells' bounds is refused, not raised
     doc = json.loads(old.read_text())
     next(n for n in doc["nodes"] if n["type"] == "product_x")["split_dim"] = 7
     with pytest.raises(SchemaError):
+        model_from_dict(doc)
+
+
+def test_schema_2_file_loads_and_predicts_bitwise(tmp_path):
+    # Written by commit cc11cd4, whose files stored each node's scope and each
+    # leaf's rows: 14 rows, 2 covariates, 3 outputs and StructureConfig(k_sum=3,
+    # k_prod_x=2, k_prod_y=2, leaf_threshold=5, rng_seed=2), trained two epochs;
+    # 178 nodes, 36 of the 48 leaves under several parents. The predictions
+    # file holds what that commit served; the first query lies on an edge.
+    old = FIXTURES / "model_schema2.json"
+    doc = json.loads(old.read_text())
+    assert doc["schema_version"] == 2
+    served = json.loads((FIXTURES / "model_schema2_predictions.json").read_text())
+    bundle = load_model(old)
+    assert_serves(bundle.circuit, served)
+    # what the file stored is what this version derives
+    scopes = oracles.node_scopes(bundle.circuit)
+    for stored, node, scope in zip(doc["nodes"], bundle.circuit.nodes, scopes):
+        assert stored["scope"] == sorted(scope)
+        if stored["type"] == "leaf":
+            assert stored["rows"] == node.leaf.row_idx.tolist()
+    assert_resaved_file_serves_the_same(bundle, served, tmp_path)
+    assert_stored_copies_are_ignored(doc, served)
+
+
+def test_save_refuses_leaves_that_do_not_hold_the_rows_inside_their_region(tmp_path):
+    circuit, transforms, data = fitted_model(seed=6, n=30)
+    i, node = next(circuit.leaves())
+    row, output = node.leaf.row_idx[0], node.leaf.scope_output
+    moved_x, moved_y = data.x.copy(), data.y.copy()
+    moved_x[row, 0] += 1e-3
+    moved_y[row, output] += 1.0
+    path = tmp_path / "m.json"
+    for x, y in ((moved_x, data.y), (data.x, moved_y)):
+        with pytest.raises(SchemaError, match=f"leaf node {i}: its data are not"):
+            save_model(path, circuit, transforms, x, y)
+    # a leaf that lost one of its region's rows
+    leaf = node.leaf
+    node.leaf = GpLeaf(output, leaf.train_x[1:], leaf.train_y[1:], leaf.hyperparams)
+    with pytest.raises(SchemaError, match=f"leaf node {i}: its data are not"):
+        save_model(path, circuit, transforms, data.x, data.y)
+    assert not path.exists()
+
+
+def test_leaf_region_without_stored_rows_is_refused():
+    circuit, transforms, data = fitted_model(seed=7, n=30)
+    doc = json.loads(dumps_canonical(model_to_dict(circuit, transforms, data.x, data.y)))
+    i, node = next(circuit.leaves())
+    keep = ~node.region.contains_rows(data.x)
+    doc["data"] = {"x": data.x[keep].tolist(), "y": data.y[keep].tolist()}
+    with pytest.raises(SchemaError, match=f"leaf node {i}: its region holds no stored row"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_leaf_lengthscales_must_match_the_covariates(count):
+    circuit, transforms, data = fitted_model(seed=8, n=30, d=2)
+    doc = json.loads(dumps_canonical(model_to_dict(circuit, transforms, data.x, data.y)))
+    i = next(i for i, n in enumerate(doc["nodes"]) if n["type"] == "leaf")
+    doc["nodes"][i]["hyperparams"]["log_lengthscales"] = [0.0] * count
+    with pytest.raises(SchemaError, match=f"leaf node {i}: {count} lengthscales for 2 dims"):
         model_from_dict(doc)
 
 
@@ -207,13 +291,6 @@ def test_schema_rejections():
     bad_node["nodes"][0]["type"] = "mystery"
     with pytest.raises(SchemaError):
         model_from_dict(bad_node)
-    bad_rows = json.loads(dumps_canonical(doc))
-    for node in bad_rows["nodes"]:
-        if node["type"] == "leaf":
-            node["rows"] = [10**6]
-            break
-    with pytest.raises(SchemaError):
-        model_from_dict(bad_rows)
     with pytest.raises(SchemaError):
         model_from_dict(["not", "a", "dict"])
 
