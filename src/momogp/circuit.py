@@ -33,6 +33,10 @@ rows follow from its region, and the builder keeps one leaf per
 GP problem, fitted, stored and queried once. Inner nodes are never
 shared: each output partition draws its own random split.
 
+A ``Region`` is a value. The half-open rule lives only here: ``_cell_of``
+routes values among a split's cells and ``_rows_inside`` finds the rows
+inside regions, for building, query routing, ``validate``, save and load.
+
 Construction recursively alternates Sum -> ProductX -> ProductY until
 a subset is small enough (at most ``leaf_threshold`` observations) to
 hand each remaining output to a GP leaf. Sum children split along the
@@ -82,47 +86,63 @@ def _check_field_types(cfg) -> None:
             raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
-    """Axis-aligned box, half-open per dimension: lower <= v < upper.
+    """Axis-aligned box of float tuples, half-open per dimension: lower <= v < upper.
 
-    The first cell of any split extends to -inf and the last to +inf,
-    so a full partition of a region covers every real vector.
+    Equal boxes compare and hash equal. The first cell of any split extends
+    to -inf and the last to +inf, so a full partition covers every vector.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: tuple
+    upper: tuple
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ValueError("lower/upper must be 1-d and of equal length")
+        lower, upper = tuple(map(float, self.lower)), tuple(map(float, self.upper))
+        if len(lower) != len(upper):
+            raise ValueError("lower/upper must be of equal length")
         # NaN compares false, so this one test also rejects NaN bounds
-        if not np.all(self.lower < self.upper):
+        if not all(lo < hi for lo, hi in zip(lower, upper)):
             raise ValueError("region must satisfy lower < upper in every dimension")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def unbounded(cls, n_dims: int) -> "Region":
-        return cls(np.full(n_dims, -np.inf), np.full(n_dims, np.inf))
-
-    @property
-    def n_dims(self) -> int:
-        return self.lower.shape[0]
-
-    def contains_rows(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.all(x >= self.lower, axis=1) & np.all(x < self.upper, axis=1)
+        return cls((-math.inf,) * n_dims, (math.inf,) * n_dims)
 
     def cut(self, dim: int, edges) -> list["Region"]:
         """The cells of this box cut along ``dim`` at the sorted interior ``edges``."""
         bounds = [self.lower[dim], *edges, self.upper[dim]]
+        lower, upper = list(self.lower), list(self.upper)
         cells = []
         for lo, hi in zip(bounds, bounds[1:]):
-            lower, upper = self.lower.copy(), self.upper.copy()
             lower[dim], upper[dim] = lo, hi
-            cells.append(Region(lower, upper))
+            cells.append(Region(tuple(lower), tuple(upper)))
         return cells
+
+
+def _cell_of(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The cell index of each value among the cells that the sorted ``edges``
+    cut. Cells are half-open, so a value equal to an edge goes right, and
+    anything at or beyond the last edge goes to the last cell."""
+    return np.searchsorted(edges, values, side="right")
+
+
+def _rows_inside(regions: list[Region], x: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``x`` inside each region, ascending as the builder assigns
+    them: one comparison per distinct region, blocks of regions at once."""
+    which = {region: k for k, region in enumerate(dict.fromkeys(regions))}
+    d = x.shape[1]
+    bounds = np.array([r.lower + r.upper for r in which], dtype=float).reshape(-1, 2 * d, 1)
+    # reducing over the middle axis of (region, dim, row) keeps numpy's inner loop long
+    columns, rows = np.ascontiguousarray(x.T), []
+    step = max(1, 2**22 // max(x.size, 1))  # bounds the block's n x d temporaries
+    for start in range(0, len(bounds), step):
+        block = bounds[start:start + step]
+        inside = ((columns >= block[:, :d]) & (columns < block[:, d:])).all(axis=1)
+        rows += [row.nonzero()[0] for row in inside]
+    return [rows[which[region]] for region in regions]
 
 
 @dataclass
@@ -245,7 +265,7 @@ class _Builder:
         self.cfg = cfg
         self.nodes: list = []
         self.y_stream = 0  # deterministic per-partition RNG stream counter
-        self.leaf_by_key: dict[tuple, int] = {}  # (region bounds, output) -> leaf id
+        self.leaf_by_key: dict[tuple, int] = {}  # (region, output) -> leaf id
 
     def add(self, node) -> int:
         self.nodes.append(node)
@@ -271,19 +291,17 @@ class _Builder:
             return self.build_prod_y(region, rows, scope, False)
         vals = self.x[rows, dim]
         fractions = np.arange(1, cfg.k_prod_x) / cfg.k_prod_x
+        # quantiles lie between the values' extremes, so inside the region
         thresholds = np.unique(np.quantile(vals, fractions))
-        thresholds = thresholds[
-            (thresholds > region.lower[dim]) & (thresholds < region.upper[dim])
-        ]
         # an empty cell merges into its left neighbour (leading empties into
         # the first populated cell), so only the edges that open a populated
         # cell are kept
-        populated = np.unique(np.searchsorted(thresholds, vals, side="right"))
+        populated = np.unique(_cell_of(thresholds, vals))
         edges = thresholds[populated[1:] - 1]
         if edges.size == 0:
             # one populated cell: no usable split, fall through to outputs
             return self.build_prod_y(region, rows, scope, False)
-        cell_of = np.searchsorted(edges, vals, side="right")
+        cell_of = _cell_of(edges, vals)
         children = [
             self.build_prod_y(cell, rows[cell_of == j], scope, True)
             for j, cell in enumerate(region.cut(dim, edges))
@@ -321,7 +339,7 @@ class _Builder:
 
     def add_leaf(self, region: Region, rows: np.ndarray, output: int) -> int:
         """The leaf of (region, output), added on first request and shared after."""
-        key = (tuple(region.lower.tolist()), tuple(region.upper.tolist()), output)
+        key = (region, output)
         if key in self.leaf_by_key:
             return self.leaf_by_key[key]
         hyper = KernelHyperparams(
@@ -406,8 +424,8 @@ def _cells(i: int, node: ProductXNode, region: Region, problems: list[str]) -> l
     dim, edges = node.split_dim, node.edges.tolist()
     if len(node.children) < 2:
         problems.append(f"node {i}: covariate split with fewer than two cells")
-    elif not 0 <= dim < region.n_dims:
-        problems.append(f"node {i}: split dimension {dim} outside [0, {region.n_dims})")
+    elif not 0 <= dim < len(region.lower):
+        problems.append(f"node {i}: split dimension {dim} outside [0, {len(region.lower)})")
     elif node.edges.shape != (len(node.children) - 1,):
         problems.append(f"node {i}: {node.edges.size} edges for {len(node.children)} cells")
     elif not all(map(math.isfinite, edges)):
@@ -442,9 +460,7 @@ def _derive_regions(circuit: Circuit, problems: list[str]) -> list[Optional[Regi
             seen = regions[child]
             if seen is None:
                 regions[child] = cell
-            elif (seen.lower.tolist(), seen.upper.tolist()) != (
-                cell.lower.tolist(), cell.upper.tolist()
-            ):
+            elif seen != cell:
                 problems.append(f"node {child}: its parents derive different regions for it")
     return regions
 
@@ -486,9 +502,9 @@ def validate(circuit: Circuit) -> list[str]:
         node = circuit.nodes[i]
         if region is None or not isinstance(node, LeafNode):
             continue
-        if node.leaf.n_dims != region.n_dims:
+        if node.leaf.n_dims != circuit.n_dims:
             problems.append(f"node {i}: leaf dimensionality mismatch")
-        elif not np.all(region.contains_rows(node.leaf.train_x)):
+        elif _rows_inside([region], node.leaf.train_x)[0].size != node.leaf.n_train:
             problems.append(f"node {i}: leaf rows fall outside its region")
     return problems
 

@@ -14,11 +14,11 @@ mixture over its induced trees.
 Prediction and the exact density are one traversal, ``_fold``: a
 product multiplies its children's independent densities and a sum
 mixes them, so both walk the circuit the same way. A covariate split
-hands each cell's query rows to that child, an output partition adds
-its children, and every leaf reached computes its GP posterior once.
-Only the leaf and sum steps differ. For the moments a leaf places its
-mean and variance in its output's slot and a sum collapses its
-children to one Gaussian with the law-of-total-(co)variance
+hands each cell's query rows to that child (``circuit._cell_of``), an
+output partition adds its children, and every leaf reached computes its
+GP posterior once. Only the leaf and sum steps differ. For the moments
+a leaf places its mean and variance in its output's slot and a sum
+collapses its children to one Gaussian with the law-of-total-(co)variance
 correction; for the exact density a leaf scores its output's Gaussian
 and a sum log-sum-exps its weighted children.
 """
@@ -37,6 +37,7 @@ from .circuit import (
     ProductYNode,
     SumNode,
     TREE_ENUM_CAP,
+    _cell_of,
     count_induced_trees,
 )
 from .errors import CapacityError, NotFittedError, NumericalError
@@ -70,13 +71,6 @@ def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
             log_w = node.log_weights + z[node.children] - z[node_id]
             node.log_weights = log_w - np.logaddexp.reduce(log_w)
     return float(z[circuit.root])
-
-
-def _route(node: ProductXNode, column: np.ndarray) -> np.ndarray:
-    """Child index per value of the split dimension. Cells are half-open,
-    so a value equal to an edge routes right; anything at or beyond the
-    last edge goes to the last cell."""
-    return np.searchsorted(node.edges, column, side="right")
 
 
 class _Fold:
@@ -116,7 +110,7 @@ class _Fold:
             return self.at_sum(node, [self.visit(child, rows) for child in node.children])
         if isinstance(node, ProductYNode):
             return tuple(map(sum, zip(*[self.visit(child, rows) for child in node.children])))
-        assignment = _route(node, self.x[rows, node.split_dim])
+        assignment = _cell_of(node.edges, self.x[rows, node.split_dim])
         out = None
         for j, child in enumerate(node.children):
             mask = assignment == j

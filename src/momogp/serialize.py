@@ -12,10 +12,10 @@ A covariate split stores its ``split_dim`` and its sorted interior
 ``edges``, and a leaf its output. Before any leaf is refitted, the loader
 derives every node's region from the root in the pass that runs
 ``validate``'s checks, and gives each leaf the stored rows inside its
-region, in ascending order as the builder assigns them. No node stores a
-region box, its scope or a leaf's rows. Saving refuses a leaf whose
-training data are not those rows, so a written file loads as the model
-that wrote it.
+region (``circuit._rows_inside``), ascending as the builder assigns them.
+No node stores a region box, its scope or a leaf's rows. Saving refuses
+a leaf whose training data are not those rows, so a written file loads
+as the model that wrote it.
 
 Earlier files still load, and their stored copies are ignored: each
 node's ``scope`` and each leaf's ``rows``, and in schema 1 every node's box
@@ -47,6 +47,7 @@ from .circuit import (
     ProductYNode,
     StructureConfig,
     SumNode,
+    _rows_inside,
     _validated_regions,
 )
 from .data_pipeline import PcaTransform, PipelineTransforms, Standardization
@@ -80,20 +81,6 @@ def _node_to_json(node) -> dict:
     elif isinstance(node, ProductXNode):
         out.update(split_dim=int(node.split_dim), edges=node.edges.tolist())
     return out
-
-
-def _leaf_rows(leaves: list, x: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``x`` inside each leaf's region, ascending as the builder
-    assigns them: one comparison per distinct region, blocks of regions at once."""
-    bounds = np.array([np.concatenate([n.region.lower, n.region.upper]) for _, n in leaves])
-    bounds, which = np.unique(bounds, axis=0, return_inverse=True)
-    # reducing over the middle axis of (region, dim, row) keeps numpy's inner loop long
-    d, columns, rows = x.shape[1], np.ascontiguousarray(x.T), []
-    step = max(1, 2**22 // max(x.size, 1))  # bounds the block's n x d temporaries
-    for block in np.split(bounds[:, :, None], range(step, len(bounds), step)):
-        inside = np.all((columns >= block[:, :d]) & (columns < block[:, d:]), axis=1)
-        rows += [np.flatnonzero(row) for row in inside]
-    return [rows[k] for k in which.ravel()]
 
 
 def _integer(value, name: str) -> int:
@@ -204,7 +191,7 @@ def model_to_dict(
     leaves = list(circuit.leaves())
     if any(node.region is None for _, node in leaves):
         raise SchemaError("a leaf has no region; only built or loaded circuits serialize")
-    for (i, node), rows in zip(leaves, _leaf_rows(leaves, x)):
+    for (i, node), rows in zip(leaves, _rows_inside([n.region for _, n in leaves], x)):
         leaf = node.leaf
         if not (np.array_equal(leaf.train_x, x[rows])
                 and np.array_equal(leaf.train_y, y[rows, leaf.scope_output])):
@@ -260,7 +247,7 @@ def model_from_dict(obj: dict) -> ModelBundle:
         for node, region in zip(nodes, regions):
             node.region = region
         leaves = list(circuit.leaves())
-        for (i, node), rows in zip(leaves, _leaf_rows(leaves, x)):
+        for (i, node), rows in zip(leaves, _rows_inside([n.region for _, n in leaves], x)):
             leaf, n_scales = node.leaf, node.leaf.hyperparams.log_lengthscales.size
             if n_scales != x.shape[1]:
                 raise SchemaError(f"leaf node {i}: {n_scales} lengthscales for {x.shape[1]} dims")

@@ -32,6 +32,18 @@ SQRT3 = math.sqrt(3.0)
 LOG2PI = math.log(2.0 * math.pi)
 
 
+# ------------------------------------------------------------------ regions
+
+
+def in_region(region, x) -> np.ndarray:
+    """Which rows of ``x`` lie in the half-open box: lower <= v < upper per dimension."""
+    x = np.asarray(x, dtype=float)
+    hit = np.ones(x.shape[0], dtype=bool)
+    for dim, (lo, hi) in enumerate(zip(region.lower, region.upper)):
+        hit &= (lo <= x[:, dim]) & (x[:, dim] < hi)
+    return hit
+
+
 # ------------------------------------------------------------------- scopes
 
 
@@ -206,7 +218,7 @@ def _tree_mean_var(circuit, leaf_ids, x, include_noise):
     for lid in leaf_ids:
         node = circuit.nodes[lid]
         out = node.leaf.scope_output
-        inside = node.region.contains_rows(x)
+        inside = in_region(node.region, x)
         if not inside.any():
             continue
         m, v = node.leaf.posterior_batch(x[inside], include_noise=include_noise)

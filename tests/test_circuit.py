@@ -12,6 +12,7 @@ from momogp.circuit import (
     Region,
     StructureConfig,
     SumNode,
+    _rows_inside,
     build,
     count_induced_trees,
     validate,
@@ -34,15 +35,44 @@ def make_data(seed, n=120, d=3, p=2):
 
 def test_region_half_open_edges():
     r = Region([0.0], [1.0])
-    inside = r.contains_rows(np.array([[-0.1], [0.0], [0.5], [1.0]]))
-    assert inside.tolist() == [False, True, True, False]
+    (inside,) = _rows_inside([r], np.array([[-0.1], [0.0], [0.5], [1.0]]))
+    assert inside.tolist() == [1, 2]
 
 
 def test_region_unbounded_covers_everything():
     r = Region.unbounded(2)
-    assert r.contains_rows(np.array([[1e30, -1e30]])).tolist() == [True]
+    assert _rows_inside([r], np.array([[1e30, -1e30]]))[0].tolist() == [0]
     sub = r.cut(1, [-1.0, 2.0])[1]
-    assert sub.contains_rows(np.array([[5.0, 1.9], [5.0, 2.0]])).tolist() == [True, False]
+    x = np.array([[5.0, 1.9], [5.0, 2.0]])
+    # equal regions share one answer; each region gets its own rows
+    assert [rows.tolist() for rows in _rows_inside([sub, r, sub], x)] == [[0], [0, 1], [0]]
+
+
+def test_regions_are_values():
+    a = Region(np.array([0.0, -np.inf]), [1.0, np.inf])
+    b = Region((0, -np.inf), (1, np.inf))
+    assert a == b and hash(a) == hash(b)
+    assert a.lower == (0.0, -np.inf) and type(a.lower[0]) is float
+    assert Region.unbounded(2).cut(0, [0.0, 1.0])[1] == a
+    with pytest.raises(AttributeError):
+        a.lower = (1.0, 0.0)
+
+
+def test_cutting_order_does_not_change_cells():
+    # the premise of leaf sharing: a cell is the same value however it was reached
+    root = Region.unbounded(3)
+    for first, second in ((0, 1), (2, 0), (1, 2)):
+        a_then_b = {
+            cell
+            for part in root.cut(first, [-1.0, 0.5])
+            for cell in part.cut(second, [0.0, 2.0])
+        }
+        b_then_a = {
+            cell
+            for part in root.cut(second, [0.0, 2.0])
+            for cell in part.cut(first, [-1.0, 0.5])
+        }
+        assert len(a_then_b) == 9 and a_then_b == b_then_a
 
 
 def test_region_validation():
@@ -96,7 +126,7 @@ def test_leaves_respect_threshold_on_continuous_data():
     for _, node in circuit.leaves():
         assert node.leaf.n_train <= 25
         # leaf rows are exactly the training rows inside its region
-        assert np.all(node.region.contains_rows(node.leaf.train_x))
+        assert np.all(oracles.in_region(node.region, node.leaf.train_x))
 
 
 def test_leaf_rows_partition_under_each_product_x():
@@ -113,7 +143,7 @@ def test_leaf_rows_partition_under_each_product_x():
     assert splits
     for i in splits:
         node = circuit.nodes[i]
-        assert rows[i] == set(np.flatnonzero(node.region.contains_rows(data.x)).tolist())
+        assert rows[i] == set(np.flatnonzero(oracles.in_region(node.region, data.x)).tolist())
         sizes = [len(rows[c]) for c in node.children]
         assert sum(sizes) == len(rows[i])
         assert all(s > 0 for s in sizes)
@@ -161,6 +191,25 @@ def test_k_prod_x_one_disables_covariate_splits():
         # no covariate split: every leaf keeps all rows
         for _, node in circuit.leaves():
             assert node.leaf.n_train == data.n_rows
+
+
+@pytest.mark.parametrize("k_prod_x", [2, 3, 4])
+def test_builds_on_tied_covariates_cut_populated_cells(k_prod_x):
+    # integer-valued covariates tie heavily, so quantiles often fall on a
+    # cell's lower bound or on each other
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(20, 90)), int(rng.integers(1, 4))
+        x = rng.integers(0, 4, size=(n, d)).astype(float)
+        y = rng.normal(size=(n, 2))
+        cfg = StructureConfig(k_sum=2, k_prod_x=k_prod_x, leaf_threshold=6, rng_seed=seed)
+        circuit = build(Dataset(x, y), cfg)
+        assert validate(circuit) == []
+        assert all(node.leaf.n_train >= 1 for _, node in circuit.leaves())
+        for node in circuit.nodes:
+            if isinstance(node, ProductXNode):
+                lo, hi = node.region.lower[node.split_dim], node.region.upper[node.split_dim]
+                assert all(lo < e < hi for e in node.edges)
 
 
 def test_degenerate_duplicate_covariates_terminate():

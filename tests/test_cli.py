@@ -355,7 +355,7 @@ def corrupt(doc, corruption):
         # still increasing and inside the interval, but every row of the
         # second cell now lies in the first cell, so the second holds none
         x = np.asarray(doc["data"]["x"])
-        column = x[node.region.contains_rows(x), node.split_dim]
+        column = x[oracles.in_region(node.region, x), node.split_dim]
         edges[0] = 0.5 * (column[column < edges[1]].max() + edges[1])
         return "its region holds no stored row"
     if corruption == "edge_count_wrong":

@@ -244,7 +244,7 @@ def test_routing_edges_go_right():
     np.testing.assert_array_equal(means[:, 0], [0.0, 1.0, 1.0, 2.0, 2.0])
     # routing agrees with half-open region membership
     for row, mean in zip(xq, means[:, 0]):
-        assert cells[int(mean)].contains_rows(row[None, :])[0]
+        assert oracles.in_region(cells[int(mean)], row[None, :])[0]
 
 
 # ------------------------------------------------------------------ densities

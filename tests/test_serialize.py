@@ -104,7 +104,7 @@ def test_file_with_node_row_counts_loads_and_predicts_bitwise(tmp_path):
     doc = json.loads(path.read_text())
     for stored, node in zip(doc["nodes"], circuit.nodes):
         assert "n_rows" not in stored
-        stored["n_rows"] = int(node.region.contains_rows(data.x).sum())
+        stored["n_rows"] = int(oracles.in_region(node.region, data.x).sum())
     old = tmp_path / "old.json"
     old.write_text(dumps_canonical(doc))
     bundle = load_model(old)
@@ -258,7 +258,7 @@ def test_leaf_region_without_stored_rows_is_refused():
     circuit, transforms, data = fitted_model(seed=7, n=30)
     doc = json.loads(dumps_canonical(model_to_dict(circuit, transforms, data.x, data.y)))
     i, node = next(circuit.leaves())
-    keep = ~node.region.contains_rows(data.x)
+    keep = ~oracles.in_region(node.region, data.x)
     doc["data"] = {"x": data.x[keep].tolist(), "y": data.y[keep].tolist()}
     with pytest.raises(SchemaError, match=f"leaf node {i}: its region holds no stored row"):
         model_from_dict(doc)

@@ -131,7 +131,7 @@ def test_each_pass_queries_every_reached_leaf_once(trained, monkeypatch, serve, 
     # the rows inside its region in query order
     reached = {}
     for _, node in circuit.leaves():
-        inside = node.region.contains_rows(x)
+        inside = oracles.in_region(node.region, x)
         if inside.any():
             reached[id(node.leaf)] = x[inside]
     assert seen.keys() == reached.keys()
