@@ -8,6 +8,7 @@ multi-output generator used by the tests and demos.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -69,7 +70,7 @@ def load_csv(path, n_outputs: int) -> Dataset:
                 values = [float(cell) for cell in record]
             except ValueError as exc:
                 raise ValueError(f"row {line_no}: unparseable field ({exc})") from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"row {line_no}: non-finite value")
             rows.append(values)
     if not rows:

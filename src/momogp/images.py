@@ -1,9 +1,10 @@
 """Portable pixmap I/O and resampling baselines.
 
-Reads P3 (ascii) and P6 (binary) PPM files with 8-bit channels, writes
-P6, and provides the nearest-neighbour and bilinear upsamplers used as
-comparison baselines, plus a deterministic synthetic test image
-(smooth gradients crossed by sharp edges).
+Reads P3 (ascii) and P6 (binary) PPM files with 8-bit channels (any
+maxval up to 255, rescaled to 0..255), writes P6, and provides the
+nearest-neighbour and bilinear upsamplers used as comparison baselines,
+plus a deterministic synthetic test image (smooth gradients crossed by
+sharp edges).
 
 Pixel (i, j) of an H x W image maps to the covariate
 ((i + 0.5) / H, (j + 0.5) / W), so grids of different resolution share
@@ -51,7 +52,11 @@ def _header_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Load a P3 or P6 PPM as a (H, W, 3) uint8 array."""
+    """Load a P3 or P6 PPM as a (H, W, 3) uint8 array.
+
+    A sample above the file's maxval is refused; samples of a maxval other
+    than 255 are rescaled to 0..255, rounding half up.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -77,10 +82,12 @@ def read_ppm(path) -> np.ndarray:
         if len(values) < n_values:
             raise ValueError(f"{path}: pixel data truncated")
         pixels = np.asarray([int(v) for v in values[:n_values]], dtype=np.int64)
-        if pixels.min() < 0 or pixels.max() > maxval:
-            raise ValueError(f"{path}: sample out of range")
-        pixels = pixels.astype(np.uint8)
-    return pixels.reshape(height, width, 3)
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise ValueError(f"{path}: sample out of range")
+    img = pixels.reshape(height, width, 3)
+    if maxval != 255:  # a sample counts in steps of 1/maxval of full scale
+        return _as_uint8(img * 255.0 / maxval)
+    return img.astype(np.uint8, copy=False)
 
 
 def _as_uint8(img: np.ndarray) -> np.ndarray:

@@ -26,15 +26,16 @@ region, so such a file serves the same numbers as before.
 
 Serialisation is byte-deterministic: keys are sorted and floats use
 Python's shortest round-trip repr. Writes go to a temp file in the
-destination directory and are renamed into place on success, so a
-failed write leaves no partial file.
+destination directory, synced and renamed into place on success, so
+neither a failed write nor a crash leaves a partial file. Written files
+get the mode that the umask gives, as with ``open``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -283,19 +284,39 @@ def dumps_canonical(obj: dict) -> str:
 
 
 def write_text_atomic(path, content: str | bytes):
-    """Write text or bytes to a temp file beside ``path`` and rename on success."""
+    """Write text or bytes to a temp file beside ``path`` and rename on success.
+
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    would create ``path``. It is synced before the rename and the directory
+    after it, so a crash leaves either the old file or the whole new one.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as fh:
             fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp_path, path)
+        _fsync_directory(directory)
     except BaseException:
         try:
             os.unlink(tmp_path)
         except OSError:
             pass
         raise
+
+
+def _fsync_directory(directory: str):
+    """Make a rename in ``directory`` durable; a no-op where directories cannot be opened."""
+    if not hasattr(os, "O_DIRECTORY"):
+        return
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_json_atomic(path, obj: dict):

@@ -555,3 +555,12 @@ def test_upsample_factor_validation(tmp_path, capsys):
     write_ppm(small, synthetic_image(8))
     code = run(["upsample", small, "--out", tmp_path / "o.ppm", "--factor", 1])
     assert code == 2
+
+
+def test_upsample_refuses_a_sample_above_maxval(tmp_path, capsys):
+    small = tmp_path / "small.ppm"
+    small.write_bytes(b"P6\n2 2\n15\n" + bytes([200] + [15] * 11))
+    out = tmp_path / "o.ppm"
+    assert run(["upsample", small, "--out", out, "--max-epochs", "0"]) == 2
+    assert "sample out of range" in capsys.readouterr().err
+    assert not out.exists()

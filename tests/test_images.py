@@ -74,6 +74,25 @@ def test_read_rejects_bad_files(tmp_path):
         read_ppm(path)
 
 
+def test_maxval_below_255_is_rescaled(tmp_path):
+    levels = np.arange(18).reshape(1, 6, 3) % 16  # every 4-bit sample value
+    expected = np.floor(levels * 255 / 15 + 0.5).astype(np.uint8)
+    header = b"6 1\n15\n"
+    p3, p6 = tmp_path / "a.ppm", tmp_path / "b.ppm"
+    p3.write_bytes(b"P3\n" + header + " ".join(map(str, levels.ravel())).encode())
+    p6.write_bytes(b"P6\n" + header + levels.astype(np.uint8).tobytes())
+    for path in (p3, p6):
+        np.testing.assert_array_equal(read_ppm(path), expected)
+    assert read_ppm(p6)[0, 5].tolist() == [255, 0, 17]
+
+
+def test_p6_sample_above_maxval_is_refused(tmp_path):
+    path = tmp_path / "img.ppm"
+    path.write_bytes(b"P6\n2 1\n15\n" + bytes([200, 15, 0, 1, 2, 3]))
+    with pytest.raises(ValueError, match="range"):
+        read_ppm(path)
+
+
 def test_write_rounds_half_up_and_clamps(tmp_path):
     path = tmp_path / "img.ppm"
     img = np.array([[[0.4, 0.5, 254.5], [300.0, -5.0, 127.49]]])

@@ -1,6 +1,8 @@
 """Model persistence: canonical JSON, round trips, atomicity."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -317,3 +319,43 @@ def test_atomic_write_failure_leaves_no_residue(tmp_path):
         write_text_atomic(target, "data")
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"taken"}  # no orphaned temp file
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_mode_follows_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        write_text_atomic(path, "hello\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_atomic_write_syncs_the_file_before_the_rename(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace_file = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        calls.append("replace")
+        replace_file(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    write_text_atomic(tmp_path / "out.bin", b"data")
+    assert calls == ["fsync file", "replace", "fsync dir"]
+    assert (tmp_path / "out.bin").read_bytes() == b"data"
+
+
+def test_atomic_write_that_fails_before_the_rename_leaves_no_file(tmp_path, monkeypatch):
+    def failing_fsync(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk gone"):
+        write_text_atomic(tmp_path / "out.json", "data")
+    assert list(tmp_path.iterdir()) == []
