@@ -48,6 +48,7 @@ output scope.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -113,12 +114,18 @@ class Region:
 
     def cut(self, dim: int, edges) -> list["Region"]:
         """The cells of this box cut along ``dim`` at the sorted interior ``edges``."""
-        bounds = [self.lower[dim], *edges, self.upper[dim]]
-        lower, upper = list(self.lower), list(self.upper)
+        bounds = [self.lower[dim], *map(float, edges), self.upper[dim]]
+        if not all(map(operator.lt, bounds, bounds[1:])):
+            raise ValueError("edges must increase strictly inside the region")
+        # each cell is this valid box with one interval narrowed inside it, so
+        # it is set up without the constructor's checks: the derivation of
+        # every region on load and save makes one cell per child of a split
         cells = []
         for lo, hi in zip(bounds, bounds[1:]):
-            lower[dim], upper[dim] = lo, hi
-            cells.append(Region(tuple(lower), tuple(upper)))
+            cell = object.__new__(Region)
+            object.__setattr__(cell, "lower", self.lower[:dim] + (lo,) + self.lower[dim + 1:])
+            object.__setattr__(cell, "upper", self.upper[:dim] + (hi,) + self.upper[dim + 1:])
+            cells.append(cell)
         return cells
 
 

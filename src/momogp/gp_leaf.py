@@ -6,7 +6,8 @@ variance, all kept in log space so gradient ascent stays unconstrained.
 Fitting caches a Cholesky factorisation of the noisy Gram matrix
 (LAPACK potrf); the posterior moments, the marginal log likelihood and
 its gradient then follow in closed form, the gradient's C^-1 coming
-from that factor by LAPACK potri:
+from that factor by LAPACK potri and the posterior's triangular solve
+from LAPACK trtrs:
 
     C = K + sigma_n^2 I
     mll = -1/2 (y^T C^-1 y + log|C| + N log 2pi)
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import cho_solve, lapack
 from scipy.spatial.distance import cdist
 
 from .errors import NotFittedError, NumericalError
@@ -117,28 +118,36 @@ class KernelHyperparams:
         return cls(vec[:n_dims].copy(), float(vec[n_dims]), float(vec[n_dims + 1]))
 
 
-def _scaled(x: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
-    return np.ascontiguousarray(x / hyper.lengthscales, dtype=float)
+def _scaled(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x / lengthscales, dtype=float)
 
 
 def _matern32(
-    x1: np.ndarray, x2: np.ndarray, hyper: KernelHyperparams
+    x1: np.ndarray, x2: np.ndarray, hyper, scaled: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel matrix K(X1, X2) and its factor exp(-sqrt(3) r).
 
-    K(X, X) is exactly symmetric with sigma_f^2 on the diagonal.
+    With ``scaled`` the rows are already divided by the lengthscales, their
+    width is the caller's to check, and ``hyper`` need only give the signal
+    variance, as a fitted leaf's ``_Fitted`` state does. K(X, X) is exactly
+    symmetric with sigma_f^2 on the diagonal.
     """
-    for name, x in (("x1", x1), ("x2", x2)):
-        shape = np.shape(x)
-        if len(shape) != 2 or shape[1] != hyper.n_dims:
-            raise ValueError(
-                f"{name} must be 2-d with {hyper.n_dims} columns, got shape {shape}"
-            )
-    # K is built in r's buffer: a fresh n x n allocation costs more than the
-    # arithmetic on it, and these products round exactly as sf2 (1 + t) e^-t
-    k = cdist(_scaled(x1, hyper), _scaled(x2, hyper))
+    if not scaled:
+        for name, x in (("x1", x1), ("x2", x2)):
+            shape = np.shape(x)
+            if len(shape) != 2 or shape[1] != hyper.n_dims:
+                raise ValueError(
+                    f"{name} must be 2-d with {hyper.n_dims} columns, got shape {shape}"
+                )
+        lengthscales = hyper.lengthscales
+        x1, x2 = _scaled(x1, lengthscales), _scaled(x2, lengthscales)
+    # K is built in r's buffer and the decay in one more: a fresh n x n
+    # allocation costs more than the arithmetic on it, and these products
+    # round exactly as sf2 (1 + t) e^-t
+    k = cdist(x1, x2)
     k *= _SQRT3
-    decay = np.exp(-k)
+    decay = np.negative(k)
+    np.exp(decay, out=decay)
     k += 1.0
     k *= hyper.signal_variance
     k *= decay
@@ -171,6 +180,21 @@ def _jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+class _Fitted(NamedTuple):
+    """What ``GpLeaf.fit`` derives from the hyperparameters it fitted with.
+
+    ``hyperparams`` is that object itself; the rest is computed from it once:
+    the lengthscales, both variances and the training inputs divided by the
+    lengthscales.
+    """
+
+    hyperparams: KernelHyperparams
+    lengthscales: np.ndarray
+    signal_variance: float
+    noise_variance: float
+    scaled_x: np.ndarray
+
+
 @dataclass
 class GpLeaf:
     """A single-output GP expert; its ``LeafNode`` holds the covariate region.
@@ -179,6 +203,15 @@ class GpLeaf:
     training data) plus the cached fit state. ``row_idx`` records which
     rows of the full training matrix the subset came from; the builder
     and the loader set it.
+
+    ``fit`` is the one place that sets the fit state: the Cholesky factor,
+    alpha, the MLL and jitter, and a ``_Fitted`` record of the lengthscales,
+    variances and scaled training inputs it used. ``posterior_batch`` and
+    ``mll_gradient`` serve from that state and compute none of it again.
+    Hyperparameters are values: a leaf whose ``hyperparams`` were replaced
+    since its last fit counts as not fitted and raises NotFittedError until
+    ``fit`` (or ``refit``) runs, so an old factor is never served with new
+    hyperparameters.
     """
 
     scope_output: int
@@ -190,6 +223,7 @@ class GpLeaf:
     alpha: Optional[np.ndarray] = field(default=None, repr=False)
     cached_mll: Optional[float] = None
     jitter: float = 0.0
+    _fitted: Optional[_Fitted] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.train_x = np.asarray(self.train_x, dtype=float)
@@ -212,17 +246,27 @@ class GpLeaf:
         return self.train_x.shape[1]
 
     def is_fitted(self) -> bool:
-        return self.chol_factor is not None
+        """Whether the fit state belongs to the current ``hyperparams``."""
+        return self._fitted is not None and self._fitted.hyperparams is self.hyperparams
 
     def fit(self) -> "GpLeaf":
         """Factorise C = K + sigma_n^2 I (jittered if it must be) and cache
-        alpha = C^-1 y, the MLL and the jitter used."""
+        alpha = C^-1 y, the MLL, the jitter used and what serving reads."""
         n = self.n_train
+        hyper = self.hyperparams
+        if hyper.n_dims != self.n_dims:
+            raise ValueError(f"hyperparams expect {hyper.n_dims} dims, leaf has {self.n_dims}")
+        self._fitted = None
         # a variance near overflow makes C non-finite, which the
         # factorisation rejects; numpy need not warn about it on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            c = _matern32(self.train_x, self.train_x, self.hyperparams)[0]
-            c.flat[:: n + 1] += self.hyperparams.noise_variance
+            lengthscales = hyper.lengthscales
+            state = _Fitted(
+                hyper, lengthscales, hyper.signal_variance, hyper.noise_variance,
+                _scaled(self.train_x, lengthscales),
+            )
+            c = _matern32(state.scaled_x, state.scaled_x, state, scaled=True)[0]
+            c.flat[:: n + 1] += state.noise_variance
             chol, self.jitter = _jittered_cholesky(c)
         self.chol_factor = chol
         self.alpha = cho_solve((chol, True), self.train_y, check_finite=False)
@@ -230,11 +274,15 @@ class GpLeaf:
         self.cached_mll = -0.5 * (
             float(self.train_y @ self.alpha) + log_det + n * _LOG_2PI
         )
+        self._fitted = state
         return self
 
-    def _require_fit(self):
+    def _require_fit(self) -> _Fitted:
         if not self.is_fitted():
-            raise NotFittedError("leaf has no cached factorisation; call fit() first")
+            raise NotFittedError(
+                "leaf has no cached factorisation for its hyperparameters; call fit() first"
+            )
+        return self._fitted
 
     def posterior_batch(
         self, x: np.ndarray, include_noise: bool = False
@@ -245,23 +293,33 @@ class GpLeaf:
         predictive variance of an observation rather than of the latent
         function value.
         """
-        self._require_fit()
+        state = self._require_fit()
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n_dims:
+            raise ValueError(
+                f"query rows must be 2-d with {self.n_dims} columns, got shape {x.shape}"
+            )
         # fit proved the factor finite, so only the queries need the scan
         if not np.all(np.isfinite(x)):
             raise ValueError("query points must be finite")
-        k_star = _matern32(x, self.train_x, self.hyperparams)[0]
+        k_star = _matern32(_scaled(x, state.lengthscales), state.scaled_x, state, scaled=True)[0]
         mean = k_star @ self.alpha
-        v = solve_triangular(self.chol_factor, k_star.T, lower=True, check_finite=False)
-        var = self.hyperparams.signal_variance - np.sum(v * v, axis=0)
+        # L v = k*^T solved in k*'s own buffer: trtrs is the call scipy's
+        # solve_triangular makes for a Fortran-ordered factor like potrf's
+        v, info = lapack.dtrtrs(self.chol_factor, k_star.T, lower=1, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"triangular solve failed (LAPACK trtrs info {info})")
+        np.square(v, out=v)
+        var = state.signal_variance - np.sum(v, axis=0)
         # tiny negative values are roundoff; anything larger is a real failure,
         # and so is NaN from a query so far away that its distance overflows
-        if not np.all(var >= -1e-8 * self.hyperparams.signal_variance):
+        if not np.all(var >= -1e-8 * state.signal_variance):
             raise NumericalError(
                 f"posterior variance went negative or NaN ({float(var.min())})"
             )
-        var = np.maximum(var, 0.0)
+        np.maximum(var, 0.0, out=var)
         if include_noise:
-            var = var + self.hyperparams.noise_variance
+            var += state.noise_variance
         return mean, var
 
     def posterior(
@@ -285,7 +343,7 @@ class GpLeaf:
         the two terms from cancelling. Jitter is treated as a constant
         shift.
         """
-        self._require_fit()
+        state = self._require_fit()
         n = self.n_train
         d = self.n_dims
         # potri writes the lower triangle of C^-1 over a copy of the factor,
@@ -295,15 +353,13 @@ class GpLeaf:
         c_inv = c_inv + c_inv.T
         c_inv.flat[:: n + 1] *= 0.5
         a = np.outer(self.alpha, self.alpha) - c_inv
-        hyper = self.hyperparams
-        k, decay = _matern32(self.train_x, self.train_x, hyper)
-        b = 1.5 * hyper.signal_variance * (a * decay)
-        s = _scaled(self.train_x, hyper)
-        s -= s.mean(axis=0)
+        k, decay = _matern32(state.scaled_x, state.scaled_x, state, scaled=True)
+        b = 1.5 * state.signal_variance * (a * decay)
+        s = state.scaled_x - state.scaled_x.mean(axis=0)
         grad = np.empty(d + 2)
         grad[:d] = 2.0 * ((s * s).T @ b.sum(axis=1) - np.sum(s * (b @ s), axis=0))
         grad[d] = 0.5 * float(np.sum(a * k))
-        grad[d + 1] = 0.5 * hyper.noise_variance * float(np.trace(a))
+        grad[d + 1] = 0.5 * state.noise_variance * float(np.trace(a))
         return grad
 
     def refit(self, hyperparams: KernelHyperparams) -> "GpLeaf":

@@ -82,7 +82,10 @@ class _Fold:
     children's tuples with ``at_sum(node, parts)``. The rest is shared:
     an output partition adds its children (independent factors), and a
     covariate split hands each child the rows in its cell, skips empty
-    cells and scatters the results back.
+    cells and scatters the results back. When all of a split's rows share
+    one cell, as a single-row request's always do, it hands them through
+    to that child and returns the child's result as it is, with no mask,
+    allocation or scatter.
 
     Each leaf's posterior is computed once per pass: every parent of a
     shared leaf hands it the same rows in the same order, the query rows
@@ -111,6 +114,9 @@ class _Fold:
         if isinstance(node, ProductYNode):
             return tuple(map(sum, zip(*[self.visit(child, rows) for child in node.children])))
         assignment = _cell_of(node.edges, self.x[rows, node.split_dim])
+        if rows.size == 1 or (rows.size and (assignment == assignment[0]).all()):
+            # every row in one cell: that child's result is already in row order
+            return self.visit(node.children[assignment[0]], rows)
         out = None
         for j, child in enumerate(node.children):
             mask = assignment == j

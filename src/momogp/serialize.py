@@ -13,9 +13,10 @@ A covariate split stores its ``split_dim`` and its sorted interior
 derives every node's region from the root in the pass that runs
 ``validate``'s checks, and gives each leaf the stored rows inside its
 region (``circuit._rows_inside``), ascending as the builder assigns them.
-No node stores a region box, its scope or a leaf's rows. Saving refuses
-a leaf whose training data are not those rows, so a written file loads
-as the model that wrote it.
+No node stores a region box, its scope or a leaf's rows. Saving derives
+the regions the same way and refuses a leaf whose training data are not
+the rows inside its region, so a written file loads as the model that
+wrote it, even when a split's edges changed after building.
 
 Earlier files still load, and their stored copies are ignored: each
 node's ``scope`` and each leaf's ``rows``, and in schema 1 every node's box
@@ -48,6 +49,7 @@ from .circuit import (
     ProductYNode,
     StructureConfig,
     SumNode,
+    _derive_regions,
     _rows_inside,
     _validated_regions,
 )
@@ -188,11 +190,16 @@ def model_to_dict(
 ) -> dict:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # a leaf on other rows than those inside its region would load as another model
+    # a leaf on other rows than those inside its region would load as another
+    # model, so the regions are derived from the split edges as the loader
+    # derives them; the loader's other checks refuse a file, never change it
+    problems: list[str] = []
+    regions = _derive_regions(circuit, problems)
     leaves = list(circuit.leaves())
-    if any(node.region is None for _, node in leaves):
-        raise SchemaError("a leaf has no region; only built or loaded circuits serialize")
-    for (i, node), rows in zip(leaves, _rows_inside([n.region for _, n in leaves], x)):
+    problems += [f"node {i}: unreachable from the root" for i, _ in leaves if regions[i] is None]
+    if problems:
+        raise SchemaError(f"invalid circuit: {problems[0]}")
+    for (i, node), rows in zip(leaves, _rows_inside([regions[i] for i, _ in leaves], x)):
         leaf = node.leaf
         if not (np.array_equal(leaf.train_x, x[rows])
                 and np.array_equal(leaf.train_y, y[rows, leaf.scope_output])):

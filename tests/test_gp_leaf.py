@@ -318,3 +318,79 @@ def test_posterior_rejects_non_finite_query_rows():
     # finite, but so far away that the kernel's distance overflows
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         leaf.posterior_batch(np.full((2, 2), 1e200))
+
+
+def test_posterior_rejects_query_rows_of_the_wrong_shape():
+    # one column would broadcast against two lengthscales if it were not checked
+    rng = np.random.default_rng(12)
+    leaf = random_leaf(rng, d=2)
+    for bad in (np.zeros((3, 1)), np.zeros(2), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match="2 columns"):
+            leaf.posterior_batch(bad)
+
+
+# ------------------------------------------------------------ fitted state
+
+
+def test_refit_serves_what_a_fresh_fit_serves():
+    rng = np.random.default_rng(13)
+    leaf = random_leaf(rng, n=20, d=3)
+    leaf.mll_gradient()
+    new = oracles.random_hyperparams(rng, 3)
+    leaf.refit(new)
+    fresh = GpLeaf(0, leaf.train_x, leaf.train_y, new).fit()
+    xq = rng.normal(size=(9, 3))
+    for noise in (False, True):
+        for got, want in zip(
+            leaf.posterior_batch(xq, include_noise=noise),
+            fresh.posterior_batch(xq, include_noise=noise),
+        ):
+            assert np.array_equal(got, want)
+    assert np.array_equal(leaf.mll_gradient(), fresh.mll_gradient())
+    assert leaf.cached_mll == fresh.cached_mll
+
+
+@pytest.mark.parametrize("b", [0, 1, 7])
+def test_posterior_leaves_its_inputs_and_the_fit_unchanged(b):
+    # the triangular solve and the squaring run in place, in k*'s buffer
+    rng = np.random.default_rng(14)
+    leaf = random_leaf(rng, n=15, d=2)
+    xq = rng.normal(size=(b, 2))
+    kept = [a.copy() for a in (xq, leaf.train_x, leaf.train_y, leaf.alpha, leaf.chol_factor)]
+    first = leaf.posterior_batch(xq, include_noise=True)
+    for a, before in zip((xq, leaf.train_x, leaf.train_y, leaf.alpha, leaf.chol_factor), kept):
+        assert np.array_equal(a, before)
+    again = leaf.posterior_batch(xq, include_noise=True)
+    assert all(np.array_equal(p, q) for p, q in zip(first, again))
+    assert first[0].shape == first[1].shape == (b,)
+
+
+def test_replaced_hyperparams_need_a_fit_before_serving():
+    # the old factor is never served with the new hyperparameters: the leaf
+    # counts as not fitted until fit() runs, and then serves the new ones
+    rng = np.random.default_rng(15)
+    leaf = random_leaf(rng, n=12, d=2)
+    assert leaf.is_fitted()
+    new = oracles.random_hyperparams(rng, 2)
+    leaf.hyperparams = new
+    assert not leaf.is_fitted()
+    xq = rng.normal(size=(4, 2))
+    with pytest.raises(NotFittedError, match="call fit"):
+        leaf.posterior_batch(xq)
+    with pytest.raises(NotFittedError):
+        leaf.posterior(xq[0])
+    with pytest.raises(NotFittedError):
+        leaf.mll_gradient()
+    leaf.fit()
+    fresh = GpLeaf(0, leaf.train_x, leaf.train_y, new).fit()
+    for got, want in zip(leaf.posterior_batch(xq), fresh.posterior_batch(xq)):
+        assert np.array_equal(got, want)
+
+
+def test_fit_refuses_hyperparams_of_another_width():
+    rng = np.random.default_rng(16)
+    leaf = random_leaf(rng, d=2)
+    leaf.hyperparams = unit_hyper(1)
+    with pytest.raises(ValueError, match="1 dims, leaf has 2"):
+        leaf.fit()
+    assert not leaf.is_fitted()
