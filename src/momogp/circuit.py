@@ -113,13 +113,15 @@ class Region:
         return cls((-math.inf,) * n_dims, (math.inf,) * n_dims)
 
     def cut(self, dim: int, edges) -> list["Region"]:
-        """The cells of this box cut along ``dim`` at the sorted interior ``edges``."""
+        """The cells of this box cut along ``dim`` at the sorted interior ``edges``.
+
+        The edges must increase strictly inside this box's interval: the
+        builder's do by construction, and ``_cells`` checks stored ones first.
+        Each cell is then this valid box with one interval narrowed, so it is
+        set up without the constructor's checks, which were a quarter of the
+        cost of deriving every region on save and load.
+        """
         bounds = [self.lower[dim], *map(float, edges), self.upper[dim]]
-        if not all(map(operator.lt, bounds, bounds[1:])):
-            raise ValueError("edges must increase strictly inside the region")
-        # each cell is this valid box with one interval narrowed inside it, so
-        # it is set up without the constructor's checks: the derivation of
-        # every region on load and save makes one cell per child of a split
         cells = []
         for lo, hi in zip(bounds, bounds[1:]):
             cell = object.__new__(Region)
@@ -391,15 +393,17 @@ def build(data: Dataset, cfg: StructureConfig) -> Circuit:
 
 
 def _check_ids(circuit: Circuit) -> list[str]:
-    """The id rule: child ids lie in [0, parent id), no node lists a child
-    twice, every node but the root has a parent and the root has none; also
-    the node kinds.
+    """The id rule: the root id lies in the node array, child ids lie in
+    [0, parent id), no node lists a child twice, every node but the root has
+    a parent and the root has none; also the node kinds.
 
     With ids in topological order, a parent for every other node makes every
     node reachable from the root.
     """
     nodes = circuit.nodes
     n = len(nodes)
+    if not 0 <= circuit.root < n:
+        return [f"root id {circuit.root} outside the node array"]
     problems: list[str] = []
     parents = [0] * n
     for i, node in enumerate(nodes):
@@ -408,13 +412,14 @@ def _check_ids(circuit: Circuit) -> list[str]:
             continue
         if isinstance(node, LeafNode):
             continue
-        if not all(0 <= c < i for c in node.children):
+        children = node.children
+        if children and not 0 <= min(children) <= max(children) < i:
             problems.append(f"node {i}: child ids must lie in [0, {i})")
             continue
-        if len(set(node.children)) != len(node.children):
-            repeated = next(c for c in node.children if node.children.count(c) > 1)
+        if len(set(children)) != len(children):
+            repeated = next(c for c in children if children.count(c) > 1)
             problems.append(f"node {i}: lists child {repeated} twice")
-        for c in node.children:
+        for c in children:
             parents[c] += 1
     for i, count in enumerate(parents):
         if i == circuit.root:
@@ -437,7 +442,7 @@ def _cells(i: int, node: ProductXNode, region: Region, problems: list[str]) -> l
         problems.append(f"node {i}: {node.edges.size} edges for {len(node.children)} cells")
     elif not all(map(math.isfinite, edges)):
         problems.append(f"node {i}: non-finite edge")
-    elif not all(a < b for a, b in zip(edges, edges[1:])):
+    elif not all(map(operator.lt, edges, edges[1:])):
         problems.append(f"node {i}: edges do not strictly increase")
     elif not region.lower[dim] < edges[0] <= edges[-1] < region.upper[dim]:
         problems.append(f"node {i}: edges leave the region's interval on dimension {dim}")
@@ -523,8 +528,6 @@ def _validated_regions(circuit: Circuit) -> tuple[list[Optional[Region]], list[s
     derived, never compared with a copy, so only what the edges and the
     leaves' outputs do not guarantee is checked.
     """
-    if not 0 <= circuit.root < len(circuit.nodes):
-        return [], [f"root id {circuit.root} outside the node array"]
     problems = _check_ids(circuit)
     if problems:
         return [], problems

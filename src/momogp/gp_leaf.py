@@ -123,33 +123,22 @@ def _scaled(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
 
 
 def _matern32(
-    x1: np.ndarray, x2: np.ndarray, hyper, scaled: bool = False
+    s1: np.ndarray, s2: np.ndarray, signal_variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel matrix K(X1, X2) and its factor exp(-sqrt(3) r).
+    """Kernel matrix K(X1, X2) and its factor exp(-sqrt(3) r), from the rows
+    already divided by the lengthscales (``_scaled``).
 
-    With ``scaled`` the rows are already divided by the lengthscales, their
-    width is the caller's to check, and ``hyper`` need only give the signal
-    variance, as a fitted leaf's ``_Fitted`` state does. K(X, X) is exactly
-    symmetric with sigma_f^2 on the diagonal.
+    K(X, X) is exactly symmetric with sigma_f^2 on the diagonal.
     """
-    if not scaled:
-        for name, x in (("x1", x1), ("x2", x2)):
-            shape = np.shape(x)
-            if len(shape) != 2 or shape[1] != hyper.n_dims:
-                raise ValueError(
-                    f"{name} must be 2-d with {hyper.n_dims} columns, got shape {shape}"
-                )
-        lengthscales = hyper.lengthscales
-        x1, x2 = _scaled(x1, lengthscales), _scaled(x2, lengthscales)
     # K is built in r's buffer and the decay in one more: a fresh n x n
     # allocation costs more than the arithmetic on it, and these products
     # round exactly as sf2 (1 + t) e^-t
-    k = cdist(x1, x2)
+    k = cdist(s1, s2)
     k *= _SQRT3
     decay = np.negative(k)
     np.exp(decay, out=decay)
     k += 1.0
-    k *= hyper.signal_variance
+    k *= signal_variance
     k *= decay
     return k, decay
 
@@ -265,7 +254,7 @@ class GpLeaf:
                 hyper, lengthscales, hyper.signal_variance, hyper.noise_variance,
                 _scaled(self.train_x, lengthscales),
             )
-            c = _matern32(state.scaled_x, state.scaled_x, state, scaled=True)[0]
+            c = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)[0]
             c.flat[:: n + 1] += state.noise_variance
             chol, self.jitter = _jittered_cholesky(c)
         self.chol_factor = chol
@@ -302,7 +291,9 @@ class GpLeaf:
         # fit proved the factor finite, so only the queries need the scan
         if not np.all(np.isfinite(x)):
             raise ValueError("query points must be finite")
-        k_star = _matern32(_scaled(x, state.lengthscales), state.scaled_x, state, scaled=True)[0]
+        k_star = _matern32(
+            _scaled(x, state.lengthscales), state.scaled_x, state.signal_variance
+        )[0]
         mean = k_star @ self.alpha
         # L v = k*^T solved in k*'s own buffer: trtrs is the call scipy's
         # solve_triangular makes for a Fortran-ordered factor like potrf's
@@ -353,7 +344,7 @@ class GpLeaf:
         c_inv = c_inv + c_inv.T
         c_inv.flat[:: n + 1] *= 0.5
         a = np.outer(self.alpha, self.alpha) - c_inv
-        k, decay = _matern32(state.scaled_x, state.scaled_x, state, scaled=True)
+        k, decay = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)
         b = 1.5 * state.signal_variance * (a * decay)
         s = state.scaled_x - state.scaled_x.mean(axis=0)
         grad = np.empty(d + 2)
@@ -364,9 +355,5 @@ class GpLeaf:
 
     def refit(self, hyperparams: KernelHyperparams) -> "GpLeaf":
         """Swap hyperparameters and re-fit."""
-        if hyperparams.n_dims != self.n_dims:
-            raise ValueError(
-                f"hyperparams expect {hyperparams.n_dims} dims, leaf has {self.n_dims}"
-            )
         self.hyperparams = hyperparams
         return self.fit()

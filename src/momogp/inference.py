@@ -114,7 +114,7 @@ class _Fold:
         if isinstance(node, ProductYNode):
             return tuple(map(sum, zip(*[self.visit(child, rows) for child in node.children])))
         assignment = _cell_of(node.edges, self.x[rows, node.split_dim])
-        if rows.size == 1 or (rows.size and (assignment == assignment[0]).all()):
+        if rows.size and (assignment == assignment[0]).all():
             # every row in one cell: that child's result is already in row order
             return self.visit(node.children[assignment[0]], rows)
         out = None

@@ -49,6 +49,7 @@ from .circuit import (
     ProductYNode,
     StructureConfig,
     SumNode,
+    _check_ids,
     _derive_regions,
     _rows_inside,
     _validated_regions,
@@ -192,17 +193,21 @@ def model_to_dict(
     y = np.asarray(y, dtype=float)
     # a leaf on other rows than those inside its region would load as another
     # model, so the regions are derived from the split edges as the loader
-    # derives them; the loader's other checks refuse a file, never change it
-    problems: list[str] = []
-    regions = _derive_regions(circuit, problems)
+    # derives them, once the links are sound; the loader's other checks refuse
+    # a file, never change it. Sound links reach every node from the root, so
+    # a node without a region sits below edges that _cells reported
+    problems = _check_ids(circuit)
+    regions = [] if problems else _derive_regions(circuit, problems)
     leaves = list(circuit.leaves())
-    problems += [f"node {i}: unreachable from the root" for i, _ in leaves if regions[i] is None]
     if problems:
         raise SchemaError(f"invalid circuit: {problems[0]}")
+    # take and != cost less than indexing and array_equal per leaf; a leaf
+    # keeps one train_y value per train_x row, so one shape test serves both
     for (i, node), rows in zip(leaves, _rows_inside([regions[i] for i, _ in leaves], x)):
         leaf = node.leaf
-        if not (np.array_equal(leaf.train_x, x[rows])
-                and np.array_equal(leaf.train_y, y[rows, leaf.scope_output])):
+        if (leaf.train_x.shape != (rows.size, x.shape[1])
+                or (leaf.train_x != x.take(rows, axis=0)).any()
+                or (leaf.train_y != y[:, leaf.scope_output].take(rows)).any()):
             raise SchemaError(f"leaf node {i}: its data are not the rows inside its region")
     # tolist gives the same python floats as float() per element, in one C pass
     return {

@@ -14,6 +14,7 @@ from momogp.gp_leaf import (
     KernelHyperparams,
     _jittered_cholesky,
     _matern32,
+    _scaled,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -23,9 +24,15 @@ def unit_hyper(d, log_noise=0.0):
     return KernelHyperparams(np.zeros(d), 0.0, log_noise)
 
 
+def gram(x1, x2, hyper):
+    """The package kernel matrix K(X1, X2): the rows scaled as a fit scales them."""
+    s1, s2 = (_scaled(x, hyper.lengthscales) for x in (x1, x2))
+    return _matern32(s1, s2, hyper.signal_variance)[0]
+
+
 def kernel(a, b, hyper):
     """The package kernel between two points, as a 1x1 kernel matrix."""
-    return float(_matern32(np.atleast_2d(a), np.atleast_2d(b), hyper)[0][0, 0])
+    return float(gram(np.atleast_2d(a), np.atleast_2d(b), hyper)[0, 0])
 
 
 def random_leaf(rng, n=12, d=2):
@@ -60,16 +67,19 @@ def test_kernel_ard_scaling_matches_oracle():
 
 
 def test_kernel_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kernel([0.0, 1.0], [0.0], unit_hyper(2))
-    with pytest.raises(ValueError):
-        kernel([0.0], [0.0], unit_hyper(2))
+    # the kernel takes scaled rows; widths are checked where rows meet a
+    # leaf's lengthscales: the training rows in fit, the query rows in posterior_batch
+    leaf = GpLeaf(0, [[0.0, 1.0]], [0.5], unit_hyper(2)).fit()
+    with pytest.raises(ValueError, match="2 columns"):
+        leaf.posterior_batch([[0.0]])
+    with pytest.raises(ValueError, match="2 dims, leaf has 1"):
+        GpLeaf(0, [[0.0]], [0.5], unit_hyper(2)).fit()
 
 
 def test_gram_exactly_symmetric_and_psd():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 4))
-    k, _ = _matern32(x, x, oracles.random_hyperparams(rng, 4))
+    k = gram(x, x, oracles.random_hyperparams(rng, 4))
     assert np.array_equal(k, k.T)
     assert np.min(np.linalg.eigvalsh(k)) > -1e-10
 
@@ -80,10 +90,10 @@ def test_gram_and_cross_match_loop_oracle():
     xq = rng.normal(size=(4, 2))
     hyper = oracles.random_hyperparams(rng, 2)
     np.testing.assert_allclose(
-        _matern32(x, x, hyper)[0], oracles.dense_gram(x, hyper), rtol=1e-12, atol=1e-14
+        gram(x, x, hyper), oracles.dense_gram(x, hyper), rtol=1e-12, atol=1e-14
     )
     np.testing.assert_allclose(
-        _matern32(xq, x, hyper)[0], oracles.dense_cross(xq, x, hyper),
+        gram(xq, x, hyper), oracles.dense_cross(xq, x, hyper),
         rtol=1e-12, atol=1e-14,
     )
 

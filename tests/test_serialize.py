@@ -285,7 +285,20 @@ def test_save_checks_leaves_against_the_regions_their_edges_derive(tmp_path):
     circuit, transforms, data = fitted_model(seed=6, n=30)
     circuit.nodes.append(circuit.nodes[circuit.leaf_ids()[0]])
     orphan = len(circuit.nodes) - 1
-    with pytest.raises(SchemaError, match=f"invalid circuit: node {orphan}: unreachable"):
+    with pytest.raises(SchemaError, match=f"invalid circuit: node {orphan}: no parent"):
+        save_model(path, circuit, transforms, data.x, data.y)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("child", [-1, 10**6])
+def test_save_refuses_child_ids_outside_the_node_array(tmp_path, child):
+    # the link check runs before regions are derived: an id past the end
+    # would raise IndexError there, and a negative one would index from the end
+    circuit, transforms, data = fitted_model(seed=8, n=30)
+    root = circuit.nodes[circuit.root]
+    root.children[0] = child
+    path = tmp_path / "m.json"
+    with pytest.raises(SchemaError, match=f"invalid circuit: node {circuit.root}: child ids"):
         save_model(path, circuit, transforms, data.x, data.y)
     assert not path.exists()
 
