@@ -82,7 +82,6 @@ class RunConfig:
     test_fraction: float = 0.0
     split_seed: int = 0
     nlpd_mode: str = "moment_matched"
-    threads: Optional[int] = None
 
     def validate(self):
         self.structure.validate()
@@ -96,8 +95,6 @@ class RunConfig:
             raise SchemaError("pca_dims must be >= 1")
         if not 0.0 <= self.test_fraction < 1.0:
             raise SchemaError("test_fraction must lie in [0, 1)")
-        if self.threads is not None and self.threads < 1:
-            raise SchemaError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -161,8 +158,6 @@ def _merge_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.structure.rng_seed = args.seed
         cfg.training.rng_seed = args.seed
         cfg.split_seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     if getattr(args, "nlpd_mode", None) is not None:
         cfg.nlpd_mode = args.nlpd_mode
     if getattr(args, "n_outputs", None) is not None:
@@ -211,7 +206,7 @@ def _fit_and_train(data: Dataset, cfg: RunConfig):
         raise NumericalError(f"built circuit failed validation: {problems[0]}")
     _echo_config(cfg)
     print(f"structure: {json.dumps(circuit.describe(), sort_keys=True)}")
-    circuit, report = train(circuit, work, cfg.training, threads=cfg.threads)
+    circuit, report = train(circuit, work, cfg.training)
     print(f"training report: {json.dumps(report.to_dict(), sort_keys=True)}")
     return work, transforms, circuit, report
 
@@ -234,11 +229,8 @@ def cmd_train(args) -> int:
     if cfg.test_fraction > 0.0:
         data, holdout = split(data, cfg.test_fraction, cfg.split_seed)
     work, transforms, circuit, report = _fit_and_train(data, cfg)
-    persisted_config = cfg.to_dict()
-    # thread count is an execution detail; results are thread-invariant
-    persisted_config["pipeline"]["threads"] = None
     extras = {
-        "effective_config": persisted_config,
+        "effective_config": cfg.to_dict(),
         "root_log_evidence": report.final_root_log_evidence,
     }
     save_model(args.out, circuit, transforms, work.x, work.y, extras)
@@ -373,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     def training_flags(p):
         config_flag(p)
         p.add_argument("--seed", type=int, help="override all RNG seeds")
-        p.add_argument("--threads", type=int, help="worker threads for leaf fits (default 1)")
 
     p_train = sub.add_parser("train", help="fit a model from a CSV")
     training_flags(p_train)

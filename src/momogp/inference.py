@@ -25,8 +25,6 @@ and a sum log-sum-exps its weighted children.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import logsumexp
 
@@ -41,9 +39,7 @@ from .circuit import (
     count_induced_trees,
 )
 from .errors import CapacityError, NotFittedError, NumericalError
-from .gp_leaf import _jittered_cholesky
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .gp_leaf import _LOG_2PI, _jittered_cholesky
 
 NLPD_MODES = ("moment_matched", "exact_mixture")
 
@@ -53,8 +49,8 @@ def compute_evidence(circuit: Circuit) -> np.ndarray:
     z = np.full(len(circuit.nodes), np.nan)
     for node_id, node in enumerate(circuit.nodes):
         if isinstance(node, LeafNode):
-            if node.leaf.cached_mll is None:
-                raise NotFittedError(f"leaf node {node_id} has no cached likelihood")
+            if not node.leaf.is_fitted():
+                raise NotFittedError(f"leaf node {node_id} is not fitted to its hyperparameters")
             z[node_id] = node.leaf.cached_mll
         elif isinstance(node, SumNode):
             z[node_id] = np.logaddexp.reduce(node.log_weights + z[node.children])

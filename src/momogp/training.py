@@ -8,23 +8,25 @@ one. Once the leaves are fitted, the mixture weights are renormalized
 to their posterior values.
 
 Initial lengthscales are Gamma draws from a per-leaf seeded stream, so
-results do not depend on leaf processing order or thread count. A leaf
-shared by several parents is one GP problem: it is fitted once per
-epoch and draws from the stream of its first reference.
+results do not depend on leaf processing order. A leaf shared by
+several parents is one GP problem: it is fitted once per epoch and
+draws from the stream of its first reference. Leaves are fitted one
+after another in the calling thread: scipy's Cholesky and inverse hold
+the GIL, so threads over leaves run no faster than one worker with
+single-threaded BLAS.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit, LeafNode, _check_field_types
 from .errors import NumericalError
-from .gp_leaf import GpLeaf, KernelHyperparams
+from .gp_leaf import KernelHyperparams
 from .inference import compute_evidence, renormalize
 
 
@@ -109,17 +111,6 @@ def _first_reference_slots(circuit: Circuit) -> dict[int, int]:
     return slots
 
 
-def _fit_mll(leaf: GpLeaf) -> float:
-    return leaf.fit().cached_mll
-
-
-def _gradient(leaf: GpLeaf, slot: int) -> np.ndarray:
-    grad = leaf.mll_gradient()
-    if not np.all(np.isfinite(grad)):
-        raise NumericalError(f"non-finite gradient at leaf slot {slot}")
-    return grad
-
-
 def train(
     circuit: Circuit,
     data=None,
@@ -129,10 +120,13 @@ def train(
     """Fit every leaf, optimise, restore the best snapshot, renormalize.
 
     ``data`` is accepted for interface symmetry and only sanity-checked:
-    the leaves already carry their training subsets. Leaf fits run on one
-    worker unless ``threads`` > 1 asks for a thread pool (identical
-    numerical results).
+    the leaves already carry their training subsets. ``threads`` is a
+    compatibility keyword: ``None`` and ``1`` are accepted, anything else
+    is refused because leaf fits run in the calling thread. It goes once
+    the benchmark harness stops passing it.
     """
+    if threads not in (None, 1):
+        raise ValueError(f"threads={threads!r}: leaf fits run in the calling thread")
     cfg = cfg or TrainConfig()
     cfg.validate()
     if data is not None and getattr(data, "n_dims", circuit.n_dims) != circuit.n_dims:
@@ -143,68 +137,63 @@ def train(
     n_params = circuit.n_dims + 2
     times: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    workers = min(threads or 1, max(n_leaves, 1))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    leaf_map = pool.map if pool is not None else map
-
     def fit_all(theta: np.ndarray) -> float:
         for leaf, vec in zip(leaves, theta):
             leaf.hyperparams = KernelHyperparams.from_vector(vec, circuit.n_dims)
-        return float(np.sum(np.fromiter(leaf_map(_fit_mll, leaves), float, n_leaves)))
+        mlls = (leaf.fit().cached_mll for leaf in leaves)
+        return float(np.sum(np.fromiter(mlls, float, n_leaves)))
 
-    try:
-        slots = _first_reference_slots(circuit)
-        theta = np.array(
-            [_initial_draw(slots[i], circuit.n_dims, cfg).to_vector() for i in leaf_ids]
-        ).reshape(n_leaves, n_params)
-        initial_total = fit_all(theta)
-        times["init"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    slots = _first_reference_slots(circuit)
+    theta = np.array(
+        [_initial_draw(slots[i], circuit.n_dims, cfg).to_vector() for i in leaf_ids]
+    ).reshape(n_leaves, n_params)
+    initial_total = fit_all(theta)
+    times["init"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        best_total = initial_total
-        best_theta = theta
-        best_epoch = 0
-        adam_m = np.zeros_like(theta)
-        adam_v = np.zeros_like(theta)
-        prev_total = initial_total
-        epochs = 0
-        streak = 0
-        stopped_early = False
-        for epoch in range(cfg.max_epochs):
-            step = epoch + 1
-            # the gradient of the fit the leaves hold, taken only when a step uses it
-            grads = np.array(
-                list(leaf_map(_gradient, leaves, range(n_leaves))), dtype=float
-            ).reshape(n_leaves, n_params)
-            adam_m = cfg.adam_beta1 * adam_m + (1 - cfg.adam_beta1) * grads
-            adam_v = cfg.adam_beta2 * adam_v + (1 - cfg.adam_beta2) * grads**2
-            m_hat = adam_m / (1 - cfg.adam_beta1**step)
-            v_hat = adam_v / (1 - cfg.adam_beta2**step)
-            theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
-            total = fit_all(theta)
-            epochs += 1
-            if total > best_total:
-                best_total = total
-                best_theta = theta
-                best_epoch = epochs
-            rel_change = abs(total - prev_total) / max(1.0, abs(prev_total))
-            streak = streak + 1 if rel_change < cfg.early_stop_rel_tol else 0
-            prev_total = total
-            if streak >= cfg.early_stop_patience:
-                stopped_early = True
-                break
-        times["optimize"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    best_total = initial_total
+    best_theta = theta
+    best_epoch = 0
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    prev_total = initial_total
+    epochs = 0
+    streak = 0
+    stopped_early = False
+    for epoch in range(cfg.max_epochs):
+        step = epoch + 1
+        # the gradient of the fit the leaves hold, taken only when a step uses it
+        grads = np.array([leaf.mll_gradient() for leaf in leaves], dtype=float)
+        grads = grads.reshape(n_leaves, n_params)
+        bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
+        if bad.size:
+            raise NumericalError(f"non-finite gradient at leaf slot {bad[0]}")
+        adam_m = cfg.adam_beta1 * adam_m + (1 - cfg.adam_beta1) * grads
+        adam_v = cfg.adam_beta2 * adam_v + (1 - cfg.adam_beta2) * grads**2
+        m_hat = adam_m / (1 - cfg.adam_beta1**step)
+        v_hat = adam_v / (1 - cfg.adam_beta2**step)
+        theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+        total = fit_all(theta)
+        epochs += 1
+        if total > best_total:
+            best_total = total
+            best_theta = theta
+            best_epoch = epochs
+        rel_change = abs(total - prev_total) / max(1.0, abs(prev_total))
+        streak = streak + 1 if rel_change < cfg.early_stop_rel_tol else 0
+        prev_total = total
+        if streak >= cfg.early_stop_patience:
+            stopped_early = True
+            break
+    times["optimize"] = time.perf_counter() - t0
 
-        # restore the best snapshot unless the leaves already hold it;
-        # refitting reproduces its cached state exactly
-        t0 = time.perf_counter()
-        if best_epoch != epochs:
-            fit_all(best_theta)
-        times["refit"] = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    # restore the best snapshot unless the leaves already hold it;
+    # refitting reproduces its cached state exactly
+    t0 = time.perf_counter()
+    if best_epoch != epochs:
+        fit_all(best_theta)
+    times["refit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     evidence = compute_evidence(circuit)

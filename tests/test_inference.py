@@ -18,7 +18,7 @@ from momogp.circuit import (
     build,
     count_induced_trees,
 )
-from momogp.data_pipeline import Dataset
+from momogp.data_pipeline import Dataset, synth_multioutput
 from momogp.errors import CapacityError, NotFittedError, NumericalError
 from momogp.gp_leaf import GpLeaf, KernelHyperparams
 from momogp.inference import (
@@ -28,6 +28,7 @@ from momogp.inference import (
     predict_batch,
     renormalize,
 )
+from momogp.training import TrainConfig, train
 
 
 class StubLeaf:
@@ -38,6 +39,9 @@ class StubLeaf:
         self.cached_mll = mll
         self._mean = float(mean)
         self._var = float(var)
+
+    def is_fitted(self):
+        return True
 
     def posterior_batch(self, x, include_noise=False):
         b = x.shape[0]
@@ -73,6 +77,18 @@ def test_evidence_matches_tree_enumeration():
 def test_evidence_requires_fitted_leaves():
     data = Dataset(np.linspace(0, 1, 8)[:, None], np.zeros((8, 1)))
     circuit = build(data, StructureConfig(leaf_threshold=4, rng_seed=0))
+    with pytest.raises(NotFittedError):
+        compute_evidence(circuit)
+
+
+def test_evidence_refuses_leaves_whose_hyperparams_changed_since_the_fit():
+    data = synth_multioutput(60, 2, 2, seed=9)
+    circuit = build(data, StructureConfig(leaf_threshold=15))
+    circuit, _ = train(circuit, data, TrainConfig(max_epochs=1))
+    for _, node in circuit.leaves():
+        node.leaf.hyperparams = KernelHyperparams.from_vector(
+            node.leaf.hyperparams.to_vector() + 0.5, circuit.n_dims
+        )
     with pytest.raises(NotFittedError):
         compute_evidence(circuit)
 

@@ -16,7 +16,7 @@ from momogp.inference import (
     log_predictive_density_batch,
     predict_batch,
 )
-from momogp.serialize import dumps_canonical, load_model, model_to_dict, save_model
+from momogp.serialize import load_model, save_model
 from momogp.training import TrainConfig, _initial_draw, train
 
 
@@ -52,7 +52,7 @@ def leaf_keys(circuit):
 def trained(request):
     work, query, structure = PROBLEMS[request.param]()
     circuit = build(work, structure)
-    circuit, _ = train(circuit, work, TrainConfig(max_epochs=3, rng_seed=0), threads=1)
+    circuit, _ = train(circuit, work, TrainConfig(max_epochs=3, rng_seed=0))
     return circuit, work, query
 
 
@@ -174,7 +174,7 @@ def test_saved_file_gives_every_node_the_builders_region(trained, tmp_path):
 def test_shared_leaf_starts_from_its_first_copys_draw():
     work, _, structure = image_problem()
     cfg = TrainConfig(max_epochs=0, rng_seed=4)
-    circuit, _ = train(build(work, structure), work, cfg, threads=1)
+    circuit, _ = train(build(work, structure), work, cfg)
     tree = oracles.unshare(build(work, structure))
     draws = [_initial_draw(slot, tree.n_dims, cfg) for slot in range(len(tree.leaf_ids()))]
     first = {}
@@ -197,17 +197,8 @@ def test_train_fits_each_shared_leaf_once_per_epoch(monkeypatch):
     monkeypatch.setattr(GpLeaf, "fit", counting_fit)
     # no early stop, and the last epoch is the best, so nothing is refitted
     cfg = TrainConfig(max_epochs=3, early_stop_patience=100, rng_seed=0)
-    _, report = train(circuit, work, cfg, threads=1)
+    _, report = train(circuit, work, cfg)
     leaves = [node.leaf for _, node in circuit.leaves()]
     assert report.leaf_count == len(leaves)
     assert calls == Counter({id(leaf): report.epochs_run + 1 for leaf in leaves})
 
-
-def test_thread_count_gives_identical_files_on_shared_circuit():
-    work, _, structure = image_problem()
-    texts = []
-    for threads in (1, 4):
-        circuit = build(work, structure)
-        circuit, _ = train(circuit, work, TrainConfig(max_epochs=3, rng_seed=0), threads=threads)
-        texts.append(dumps_canonical(model_to_dict(circuit, None, work.x, work.y)))
-    assert texts[0] == texts[1]

@@ -85,11 +85,12 @@ def test_training_improves_total_mll():
     assert total == pytest.approx(report.final_total_mll, rel=1e-12)
 
 
-def test_thread_count_does_not_change_results():
+def test_threads_keyword_accepts_only_the_calling_thread():
     cfg = TrainConfig(max_epochs=12, rng_seed=3)
-    a, rep_a = train(small_circuit(1), cfg=cfg, threads=1)
-    b, rep_b = train(small_circuit(1), cfg=cfg, threads=3)
-    assert rep_a.final_total_mll == rep_b.final_total_mll
+    a, rep_a = train(small_circuit(1), cfg=cfg)
+    b, rep_b = train(small_circuit(1), cfg=cfg, threads=1)
+    rep_a.wall_time = rep_b.wall_time = {}
+    assert rep_a == rep_b
     for ia, ib in zip(a.leaf_ids(), b.leaf_ids()):
         va = a.nodes[ia].leaf.hyperparams.to_vector()
         vb = b.nodes[ib].leaf.hyperparams.to_vector()
@@ -97,6 +98,8 @@ def test_thread_count_does_not_change_results():
     for na, nb in zip(a.nodes, b.nodes):
         if isinstance(na, SumNode):
             assert np.array_equal(na.log_weights, nb.log_weights)
+    with pytest.raises(ValueError, match="calling thread"):
+        train(small_circuit(1), cfg=cfg, threads=2)
 
 
 def test_max_epochs_zero_keeps_initial_draws():
@@ -157,7 +160,7 @@ def test_report_to_dict_keys():
     y = np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 0])])
     circuit = build(Dataset(x, y), StructureConfig(leaf_threshold=10, rng_seed=0))
     cfg = TrainConfig(max_epochs=0, init_noise_variance=1e-26, rng_seed=0)
-    _, report = train(circuit, cfg=cfg, threads=1)
+    _, report = train(circuit, cfg=cfg)
     jitters = [node.leaf.jitter for _, node in circuit.leaves()]
     assert report.jittered_leaves == len(jitters) == report.leaf_count
     assert report.max_jitter == max(jitters) > 0.0
