@@ -30,7 +30,6 @@ from .data_pipeline import (
     synth_multioutput,
 )
 from .errors import (
-    CapacityError,
     MomogpError,
     NotFittedError,
     NumericalError,
@@ -70,7 +69,6 @@ __all__ = [
     "split",
     "standardize",
     "synth_multioutput",
-    "CapacityError",
     "MomogpError",
     "NotFittedError",
     "NumericalError",

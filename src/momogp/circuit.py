@@ -57,7 +57,8 @@ import numpy as np
 from .data_pipeline import Dataset
 from .gp_leaf import GpLeaf, KernelHyperparams
 
-# hard ceiling on the induced trees an exact mixture density may sum over
+# Nothing in the package reads this: the exact density is one linear pass.
+# bench/ uses it as its own tree-enumeration limit (ROADMAP.md item 6).
 TREE_ENUM_CAP = 10**6
 
 _FIELD_TYPES = {
@@ -208,7 +209,7 @@ class ProductXNode:
     @property
     def child_regions(self) -> list[Region]:
         # Only the benchmark's bottom-up recursion reference reads this; the
-        # benchmark refresh of ROADMAP.md item 5 should delete it.
+        # benchmark refresh of ROADMAP.md item 6 should delete it.
         return self.region.cut(self.split_dim, self.edges)
 
 

@@ -7,7 +7,7 @@ then command line flags; train and upsample echo the merged effective
 config so runs are reproducible, and train stores it in the model file.
 
 Exit codes: 0 success, 2 invalid input/config, 3 I/O failure,
-4 numerical failure, 5 capacity exceeded. Failures print
+4 numerical failure. Failures print
 "ERROR <category>: <detail>" as the first stderr line.
 """
 
@@ -34,13 +34,7 @@ from .data_pipeline import (
     split,
     standardize,
 )
-from .errors import (
-    CapacityError,
-    MomogpError,
-    NotFittedError,
-    NumericalError,
-    SchemaError,
-)
+from .errors import MomogpError, NotFittedError, NumericalError, SchemaError
 from .images import (
     bilinear_upsample,
     dataset_to_image,
@@ -68,7 +62,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-EXIT_CAPACITY = 5
 
 @dataclass
 class RunConfig:
@@ -252,40 +245,28 @@ def cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
     circuit = bundle.circuit
     data = load_csv(args.test_csv, circuit.n_outputs)
-    mode = cfg.nlpd_mode
     x = bundle.transforms.transform_x(data.x)
     y_model_space = bundle.transforms.transform_y(data.y)
     std = bundle.transforms.standardization
     unstandardize = args.unstandardized_metrics and std is not None
     # densities pick up the log-Jacobian of the linear rescaling
     log_jacobian = float(np.sum(np.log(std.y_std))) if unstandardize else 0.0
-    # the exact density goes first: over the tree cap it refuses before
-    # the moment pass, which costs far more than the count
-    nlpd_exact = None
-    if mode in ("exact_mixture", "both"):
-        nlpd_exact = (
-            mean_nlpd(circuit, x, y_model_space, mode="exact_mixture") + log_jacobian
-        )
+    modes = NLPD_MODES if cfg.nlpd_mode == "both" else (cfg.nlpd_mode,)
+    nlpd = {m: mean_nlpd(circuit, x, y_model_space, mode=m) + log_jacobian for m in modes}
     means, _ = predict_batch(circuit, x)
     if unstandardize:
         y_ref, means_ref = data.y, bundle.transforms.inverse_y_mean(means)
     else:
         y_ref, means_ref = y_model_space, means
-
-    if mode == "exact_mixture":
-        nlpd = nlpd_exact
-    else:
-        nlpd = mean_nlpd(circuit, x, y_model_space, mode="moment_matched") + log_jacobian
     result = EvalResult(
         n_test=data.n_rows,
         rmse=rmse(y_ref, means_ref),
         mae=mae(y_ref, means_ref),
-        mean_nlpd=nlpd,
-        nlpd_mode="exact_mixture" if mode == "exact_mixture" else "moment_matched",
+        mean_nlpd=nlpd[modes[0]],
+        nlpd_mode=modes[0],
         per_output_rmse=[float(v) for v in per_output_rmse(y_ref, means_ref)],
+        mean_nlpd_exact=nlpd["exact_mixture"] if len(modes) > 1 else None,
     )
-    if mode == "both":
-        result.mean_nlpd_exact = nlpd_exact
     print(result.format_text())
     out_path = args.out or (args.model + ".eval.json")
     write_json_atomic(out_path, result.to_dict())
@@ -437,8 +418,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, NotFittedError, ValueError) as exc:
         return _fail("invalid", exc, EXIT_INVALID)
-    except CapacityError as exc:
-        return _fail("capacity", exc, EXIT_CAPACITY)
     except NumericalError as exc:
         return _fail("numerical", exc, EXIT_NUMERICAL)
     except OSError as exc:

@@ -23,9 +23,5 @@ class NumericalError(MomogpError):
         self.jitter_levels = tuple(jitter_levels) if jitter_levels is not None else ()
 
 
-class CapacityError(MomogpError):
-    """A requested computation exceeds a configured resource cap."""
-
-
 class SchemaError(MomogpError):
     """A config or model file does not match the expected schema."""

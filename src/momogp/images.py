@@ -205,11 +205,19 @@ def synthetic_image(size: int = 64) -> np.ndarray:
 def _main(argv=None) -> int:
     import argparse
 
+    # imported here: the command line module imports this one
+    from .cli import EXIT_INVALID, EXIT_IO, _fail
+
     parser = argparse.ArgumentParser(description="write the synthetic demo image")
     parser.add_argument("out", help="output PPM path")
     parser.add_argument("--size", type=int, default=64)
     args = parser.parse_args(argv)
-    write_ppm(args.out, synthetic_image(args.size))
+    try:
+        write_ppm(args.out, synthetic_image(args.size))
+    except ValueError as exc:
+        return _fail("invalid", exc, EXIT_INVALID)
+    except OSError as exc:
+        return _fail("io", exc, EXIT_IO)
     print(f"wrote {args.size}x{args.size} demo image to {args.out}")
     return 0
 

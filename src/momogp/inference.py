@@ -34,11 +34,9 @@ from .circuit import (
     ProductXNode,
     ProductYNode,
     SumNode,
-    TREE_ENUM_CAP,
     _cell_of,
-    count_induced_trees,
 )
-from .errors import CapacityError, NotFittedError, NumericalError
+from .errors import NotFittedError, NumericalError
 from .gp_leaf import _LOG_2PI, _jittered_cholesky
 
 NLPD_MODES = ("moment_matched", "exact_mixture")
@@ -256,14 +254,15 @@ def log_predictive_density_batch(
     y: np.ndarray,
     mode: str = "moment_matched",
     cross_covariance: bool = True,
-    tree_cap: int = TREE_ENUM_CAP,
+    tree_cap: int | None = None,
 ) -> np.ndarray:
     """Log density of each observed target row under the predictive distribution.
 
     "moment_matched" scores a Gaussian with the matched moments
     (observation noise included). "exact_mixture" scores the true
-    mixture; it refuses to run when the circuit induces more trees than
-    ``tree_cap``.
+    mixture in one pass, linear in circuit size, however many induced
+    trees the circuit has. ``tree_cap`` is accepted and ignored; it goes
+    with ROADMAP item 6.
     """
     if mode not in NLPD_MODES:
         raise ValueError(f"mode must be one of {NLPD_MODES}, got {mode!r}")
@@ -278,9 +277,4 @@ def log_predictive_density_batch(
     if mode == "moment_matched":
         means, covs = _root_moments(circuit, x, True, cross_covariance)
         return _gaussian_logpdf_rows(y, means, covs)
-    n_trees = count_induced_trees(circuit)
-    if n_trees > tree_cap:
-        raise CapacityError(
-            f"exact mixture density over {n_trees} induced trees exceeds the cap {tree_cap}"
-        )
     return _log_density_exact(circuit, x, y)

@@ -304,7 +304,11 @@ def write_text_atomic(path, content: str | bytes):
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp_path = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # name the caller's path (a missing directory, say), not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as fh:
             fh.write(content)

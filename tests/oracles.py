@@ -260,6 +260,46 @@ def density_oracle(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return logsumexp(per_tree, axis=0)
 
 
+def density_recursion_oracle(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row exact mixture log density by direct recursion, one row at a time.
+
+    For circuits with too many induced trees to enumerate. A covariate
+    split sends the row to the one child whose region holds it
+    (``in_region`` on the builder's regions), an output partition adds its
+    children, a sum log-sum-exps its weighted children and a leaf scores
+    its output's Gaussian (noise included).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        row = x[i : i + 1]
+        memo = {}
+
+        def rec(node_id):
+            if node_id in memo:
+                return memo[node_id]
+            node = circuit.nodes[node_id]
+            if isinstance(node, LeafNode):
+                assert in_region(node.region, row)[0], "row routed outside its leaf"
+                m, v = node.leaf.posterior_batch(row, include_noise=True)
+                target = y[i, node.leaf.scope_output]
+                value = -0.5 * ((target - m[0]) ** 2 / v[0] + math.log(v[0]) + LOG2PI)
+            elif isinstance(node, SumNode):
+                value = logsumexp([lw + rec(c) for lw, c in zip(node.log_weights, node.children)])
+            elif isinstance(node, ProductYNode):
+                value = sum(rec(c) for c in node.children)
+            else:
+                hits = [c for c in node.children if in_region(circuit.nodes[c].region, row)[0]]
+                assert len(hits) == 1, "covariate cells must hold each row exactly once"
+                value = rec(hits[0])
+            memo[node_id] = value
+            return value
+
+        out[i] = rec(circuit.root)
+    return out
+
+
 # --------------------------------------------------------- random generators
 
 

@@ -18,9 +18,7 @@ from momogp.circuit import (
     validate,
 )
 from momogp.data_pipeline import Dataset
-from momogp.errors import CapacityError
 from momogp.gp_leaf import GpLeaf, KernelHyperparams
-from momogp.inference import log_predictive_density_batch
 
 
 def make_data(seed, n=120, d=3, p=2):
@@ -245,21 +243,6 @@ def test_tree_count_matches_enumeration():
         count = count_induced_trees(circuit)
         assert isinstance(count, int)
         assert count == len(trees)
-
-
-def test_enumeration_cap_enforced():
-    circuit = oracles.random_circuit(np.random.default_rng(12), max_trees=120)
-    count = count_induced_trees(circuit)
-    if count < 2:
-        pytest.skip("degenerate draw with a single induced tree")
-    xq = np.zeros((1, circuit.n_dims))
-    yq = np.zeros((1, circuit.n_outputs))
-    # the exact mixture density sums over every induced tree; the cap is inclusive
-    log_predictive_density_batch(circuit, xq, yq, mode="exact_mixture", tree_cap=count)
-    with pytest.raises(CapacityError):
-        log_predictive_density_batch(
-            circuit, xq, yq, mode="exact_mixture", tree_cap=count - 1
-        )
 
 
 def test_induced_tree_priors_sum_to_one():

@@ -8,10 +8,11 @@ import pytest
 
 import momogp.cli as cli
 import oracles
-from momogp.data_pipeline import synth_multioutput
+from momogp.data_pipeline import load_csv, synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
-from momogp.serialize import model_from_dict
+from momogp.metrics import mean_nlpd
+from momogp.serialize import load_model, model_from_dict
 
 
 def write_train_csv(path, n=60, seed=0, p=2):
@@ -182,11 +183,22 @@ def test_evaluate_unstandardized_metrics(tmp_path, trained_model, capsys):
 # ------------------------------------------------------------------- failures
 
 
-def test_missing_input_is_io_error(tmp_path, capsys):
-    model = tmp_path / "m.json"
-    code = run(["train", tmp_path / "absent.csv", "--out", model, "--n-outputs", "2"])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("ERROR io:")
+def test_missing_input_is_io_error(tmp_path, trained_model, capsys):
+    model, _, _ = trained_model
+    queries = tmp_path / "q.csv"
+    queries.write_text("0.1,0.2\n")
+    cases = [
+        (["train", tmp_path / "absent.csv", "--out", tmp_path / "m.json", "--n-outputs", "2"],
+         "absent.csv"),
+        # an atomic write into a missing directory names the user's path, not its temp file
+        (["predict", model, queries, "--out", tmp_path / "absent" / "p.csv"], "p.csv"),
+    ]
+    capsys.readouterr()
+    for argv, named in cases:
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR io:")
+        assert named in err and ".tmp" not in err
 
 
 def test_bad_csv_is_invalid(tmp_path, capsys):
@@ -467,7 +479,8 @@ def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corrupti
     assert not (tmp_path / "p.csv").exists()
 
 
-def test_exact_nlpd_over_capacity_is_exit_5(tmp_path, capsys):
+def test_exact_nlpd_past_the_old_cap_is_served(tmp_path, capsys):
+    # 97,125 nodes and about 1e30 induced trees: the exact density is one pass
     csv_path = write_train_csv(tmp_path / "train.csv", n=300, p=1)
     config = write_config(
         tmp_path / "cfg.json",
@@ -476,13 +489,24 @@ def test_exact_nlpd_over_capacity_is_exit_5(tmp_path, capsys):
         pipeline={"n_outputs": 1},
     )
     model = tmp_path / "m.json"
+    out = tmp_path / "eval.json"
     assert run(["train", csv_path, "--config", config, "--out", model]) == 0
     code = run(
         ["evaluate", model, csv_path, "--config", config,
-         "--nlpd-mode", "exact_mixture"]
+         "--nlpd-mode", "exact_mixture", "--out", out]
     )
-    assert code == 5
-    assert capsys.readouterr().err.startswith("ERROR capacity:")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["nlpd_mode"] == "exact_mixture"
+    bundle = load_model(model)
+    data = load_csv(csv_path, 1)
+    expected = mean_nlpd(
+        bundle.circuit,
+        bundle.transforms.transform_x(data.x),
+        bundle.transforms.transform_y(data.y),
+        mode="exact_mixture",
+    )
+    assert doc["mean_nlpd"] == expected
 
 
 def test_numerical_failures_map_to_exit_4(tmp_path, monkeypatch, capsys):

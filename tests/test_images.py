@@ -197,9 +197,16 @@ def test_synthetic_image_is_deterministic():
         synthetic_image(4)
 
 
-def test_images_module_demo_cli(tmp_path):
+def test_images_module_demo_cli(tmp_path, capsys):
     from momogp.images import _main
 
     out = tmp_path / "demo.ppm"
     assert _main([str(out), "--size", "16"]) == 0
     assert read_ppm(out).shape == (16, 16, 3)
+    capsys.readouterr()
+    # failures end in one "ERROR <category>:" line and the command line tool's exit codes
+    assert _main([str(out), "--size", "4"]) == 2
+    assert capsys.readouterr().err == "ERROR invalid: size must be >= 8\n"
+    assert _main([str(tmp_path / "absent" / "demo.ppm")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR io:") and "demo.ppm" in err and err.count("\n") == 1

@@ -19,7 +19,7 @@ from momogp.circuit import (
     count_induced_trees,
 )
 from momogp.data_pipeline import Dataset, synth_multioutput
-from momogp.errors import CapacityError, NotFittedError, NumericalError
+from momogp.errors import NotFittedError, NumericalError
 from momogp.gp_leaf import GpLeaf, KernelHyperparams
 from momogp.inference import (
     _gaussian_logpdf_rows,
@@ -352,19 +352,17 @@ def test_single_tree_circuit_densities_agree():
     np.testing.assert_allclose(mm, ex, rtol=1e-9)
 
 
-def test_exact_mixture_respects_tree_cap():
-    rng = np.random.default_rng(30)
-    circuit = oracles.random_circuit(rng)
-    while count_induced_trees(circuit) < 2:
-        circuit = oracles.random_circuit(rng)
-    renormalize(circuit)
-    xq = np.zeros((1, circuit.n_dims))
-    yq = np.zeros((1, circuit.n_outputs))
-    with pytest.raises(CapacityError):
-        log_predictive_density_batch(
-            circuit, xq, yq, mode="exact_mixture",
-            tree_cap=count_induced_trees(circuit) - 1,
-        )
+def test_exact_density_past_the_old_cap_matches_recursion_oracle():
+    # 2,844 nodes and about 1.4e7 induced trees: too many to enumerate
+    data = synth_multioutput(100, 2, 1, seed=0)
+    work = Dataset(data.x[:80], data.y[:80])
+    circuit = build(work, StructureConfig(k_sum=3, leaf_threshold=8, rng_seed=0))
+    circuit, _ = train(circuit, work, TrainConfig(max_epochs=2, rng_seed=0))
+    assert count_induced_trees(circuit) > 10**6
+    xq, yq = data.x[80:], data.y[80:]
+    got = log_predictive_density_batch(circuit, xq, yq, mode="exact_mixture")
+    want = oracles.density_recursion_oracle(circuit, xq, yq)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_density_input_validation():

@@ -94,10 +94,9 @@ def test_shared_and_unshared_circuits_agree_bitwise(trained):
         log_predictive_density_batch(circuit, x, y),
         log_predictive_density_batch(tree, x, y),
     )
-    cap = count_induced_trees(circuit)
     np.testing.assert_array_equal(
-        log_predictive_density_batch(circuit, x, y, mode="exact_mixture", tree_cap=cap),
-        log_predictive_density_batch(tree, x, y, mode="exact_mixture", tree_cap=cap),
+        log_predictive_density_batch(circuit, x, y, mode="exact_mixture"),
+        log_predictive_density_batch(tree, x, y, mode="exact_mixture"),
     )
 
 
@@ -105,7 +104,7 @@ SERVING = {
     "predict": lambda circuit, x, y: predict_batch(circuit, x),
     "moment_matched": lambda circuit, x, y: log_predictive_density_batch(circuit, x, y),
     "exact_mixture": lambda circuit, x, y: log_predictive_density_batch(
-        circuit, x, y, mode="exact_mixture", tree_cap=count_induced_trees(circuit)
+        circuit, x, y, mode="exact_mixture"
     ),
 }
 
