@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -65,14 +65,19 @@ _FIELD_TYPES = {
     "int": (int, np.integer),
     "float": (int, float, np.integer, np.floating),
     "bool": (bool,),
+    "str": (str,),
 }
+_RULES = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "lt": (operator.lt, "<"),
+          "choices": (lambda value, choices: value in choices, "one of")}
 
 
-def _check_field_types(cfg) -> None:
-    """Reject a config value whose type disagrees with its field's annotation.
+def _check_fields(cfg) -> None:
+    """Reject a config value whose type or range disagrees with its field.
 
-    Bools and numbers do not pass for each other, reals must be finite
-    and ``Optional`` fields also take None; other fields are not checked.
+    The type is the field's annotation: bools and numbers do not pass for
+    each other, reals must be finite and ``Optional`` fields also take
+    None; fields of other types are not checked. The range is the field's
+    metadata: bounds ``ge``, ``gt`` and ``lt``, and a tuple of ``choices``.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -86,6 +91,10 @@ def _check_field_types(cfg) -> None:
             or (kind == "float" and not math.isfinite(value))
         ):
             raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
+        for rule, bound in f.metadata.items():
+            holds, phrase = _RULES[rule]
+            if not holds(value, bound):
+                raise ValueError(f"{f.name} must be {phrase} {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -165,20 +174,14 @@ class StructureConfig:
     k_prod_x=1 or k_prod_y=1 disables that split kind (pass-through).
     """
 
-    k_sum: int = 2
-    k_prod_x: int = 2
-    k_prod_y: int = 2
-    leaf_threshold: int = 500
-    rng_seed: int = 0
+    k_sum: int = field(default=2, metadata={"ge": 1})
+    k_prod_x: int = field(default=2, metadata={"ge": 1})
+    k_prod_y: int = field(default=2, metadata={"ge": 1})
+    leaf_threshold: int = field(default=500, metadata={"ge": 1})
+    rng_seed: int = field(default=0, metadata={"ge": 0})
 
     def validate(self):
-        _check_field_types(self)
-        for name, low in (
-            ("k_sum", 1), ("k_prod_x", 1), ("k_prod_y", 1), ("leaf_threshold", 1), ("rng_seed", 0)
-        ):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        _check_fields(self)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .circuit import StructureConfig, _check_field_types, build, validate
+from .circuit import StructureConfig, _check_fields, build, validate
 from .data_pipeline import (
     Dataset,
     PipelineTransforms,
@@ -69,25 +69,16 @@ class RunConfig:
 
     structure: StructureConfig = field(default_factory=StructureConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    n_outputs: Optional[int] = None
+    n_outputs: Optional[int] = field(default=None, metadata={"ge": 1})
     standardize: bool = True
-    pca_dims: Optional[int] = None
-    test_fraction: float = 0.0
-    split_seed: int = 0
-    nlpd_mode: str = "moment_matched"
+    pca_dims: Optional[int] = field(default=None, metadata={"ge": 1})
+    test_fraction: float = field(default=0.0, metadata={"ge": 0.0, "lt": 1.0})
+    split_seed: int = field(default=0, metadata={"ge": 0})
+    nlpd_mode: str = field(default="moment_matched", metadata={"choices": NLPD_MODES + ("both",)})
 
     def validate(self):
-        self.structure.validate()
-        self.training.validate()
-        _check_field_types(self)
-        if self.nlpd_mode not in NLPD_MODES + ("both",):
-            raise SchemaError(f"nlpd_mode must be one of {NLPD_MODES + ('both',)}")
-        if self.n_outputs is not None and self.n_outputs < 1:
-            raise SchemaError("n_outputs must be >= 1")
-        if self.pca_dims is not None and self.pca_dims < 1:
-            raise SchemaError("pca_dims must be >= 1")
-        if not 0.0 <= self.test_fraction < 1.0:
-            raise SchemaError("test_fraction must lie in [0, 1)")
+        for section in (self.structure, self.training, self):
+            _check_fields(section)
 
     def to_dict(self) -> dict:
         return {
@@ -98,9 +89,17 @@ class RunConfig:
         }
 
 
+_SECTIONS = ("structure", "training", "pipeline")
+
+
+def _section(cfg: RunConfig, name: str):
+    """The object that holds a section's keys: the pipeline keys are RunConfig's own."""
+    return cfg if name == "pipeline" else getattr(cfg, name)
+
+
 def _section_keys(target) -> list[str]:
     """The settable keys of a config section: the dataclass fields, minus nested sections."""
-    return [f.name for f in fields(target) if f.name not in ("structure", "training")]
+    return [f.name for f in fields(target) if f.name not in _SECTIONS]
 
 
 def _apply_section(target, section, label: str):
@@ -134,37 +133,28 @@ def load_run_config(
     if version != CONFIG_SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported config schema_version {version!r}")
     for section in obj:
-        if section not in ("schema_version", "structure", "training", "pipeline"):
+        if section not in ("schema_version",) + _SECTIONS:
             raise SchemaError(f"{path}: unknown config section {section!r}")
-    for section in ("structure", "training"):
-        _apply_section(getattr(cfg, section), obj.get(section, {}), section)
-    pipeline = obj.get("pipeline", {})
-    _apply_section(cfg, pipeline, "pipeline")
+    for section in _SECTIONS:
+        _apply_section(_section(cfg, section), obj.get(section, {}), section)
     for key in unread:
-        if key in pipeline:
+        if key in obj.get("pipeline", {}):
             raise SchemaError(f"{command} does not read pipeline.{key}")
     return cfg
 
 
 def _merge_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.structure.rng_seed = args.seed
-        cfg.training.rng_seed = args.seed
-        cfg.split_seed = args.seed
-    if getattr(args, "nlpd_mode", None) is not None:
-        cfg.nlpd_mode = args.nlpd_mode
-    if getattr(args, "n_outputs", None) is not None:
-        cfg.n_outputs = args.n_outputs
-    if getattr(args, "leaf_threshold", None) is not None:
-        cfg.structure.leaf_threshold = args.leaf_threshold
-    if getattr(args, "max_epochs", None) is not None:
-        cfg.training.max_epochs = args.max_epochs
-    if getattr(args, "test_fraction", None) is not None:
-        cfg.test_fraction = args.test_fraction
-    if getattr(args, "pca_dims", None) is not None:
-        cfg.pca_dims = args.pca_dims
-    if getattr(args, "no_standardize", False):
-        cfg.standardize = False
+    """Apply the flags given: each flag's dest is the "section.key" it sets,
+    except --seed, which sets all three seeds."""
+    overrides = dict(vars(args))
+    seed = overrides.pop("seed", None)
+    if seed is not None:
+        overrides.update({"structure.rng_seed": seed, "training.rng_seed": seed,
+                          "pipeline.split_seed": seed})
+    for dest, value in overrides.items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            setattr(_section(cfg, section), key, value)
     cfg.validate()
     return cfg
 
@@ -208,8 +198,8 @@ def _write_csv_atomic(path, header: list[str], rows: np.ndarray):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
+    # tolist gives python floats, whose str is their shortest repr
+    writer.writerows(rows.tolist())
     write_text_atomic(path, buffer.getvalue())
 
 
@@ -351,18 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     training_flags(p_train)
     p_train.add_argument("train_csv")
     p_train.add_argument("--out", required=True, help="model JSON output path")
-    p_train.add_argument("--n-outputs", type=int, dest="n_outputs")
-    p_train.add_argument("--leaf-threshold", type=int, dest="leaf_threshold")
-    p_train.add_argument("--max-epochs", type=int, dest="max_epochs")
+    p_train.add_argument("--n-outputs", type=int, dest="pipeline.n_outputs", metavar="N_OUTPUTS")
     p_train.add_argument(
-        "--test-fraction",
-        type=float,
-        dest="test_fraction",
+        "--leaf-threshold", type=int, dest="structure.leaf_threshold", metavar="LEAF_THRESHOLD"
+    )
+    p_train.add_argument("--max-epochs", type=int, dest="training.max_epochs", metavar="MAX_EPOCHS")
+    p_train.add_argument(
+        "--test-fraction", type=float, dest="pipeline.test_fraction", metavar="TEST_FRACTION",
         help="hold out this fraction (written to <out>.test.csv)",
     )
-    p_train.add_argument("--pca-dims", type=int, dest="pca_dims")
+    p_train.add_argument("--pca-dims", type=int, dest="pipeline.pca_dims", metavar="PCA_DIMS")
     p_train.add_argument(
-        "--no-standardize", action="store_true", help="skip column standardization"
+        "--no-standardize", action="store_false", default=None, dest="pipeline.standardize",
+        help="skip column standardization",
     )
     p_train.set_defaults(func=cmd_train)
 
@@ -370,11 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     config_flag(p_eval)
     p_eval.add_argument("model")
     p_eval.add_argument("test_csv")
-    p_eval.add_argument(
-        "--nlpd-mode",
-        dest="nlpd_mode",
-        choices=NLPD_MODES + ("both",),
-    )
+    p_eval.add_argument("--nlpd-mode", dest="pipeline.nlpd_mode", choices=NLPD_MODES + ("both",))
     p_eval.add_argument("--out", help="evaluation JSON path (default <model>.eval.json)")
     p_eval.add_argument(
         "--unstandardized-metrics",
@@ -400,8 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--factor", type=int, default=2)
     p_up.add_argument("--out", required=True, help="output PPM path")
     p_up.add_argument("--ground-truth", help="high-res PPM to score against")
-    p_up.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p_up.add_argument("--leaf-threshold", type=int, dest="leaf_threshold")
+    p_up.add_argument("--max-epochs", type=int, dest="training.max_epochs", metavar="MAX_EPOCHS")
+    p_up.add_argument(
+        "--leaf-threshold", type=int, dest="structure.leaf_threshold", metavar="LEAF_THRESHOLD"
+    )
     p_up.set_defaults(func=cmd_upsample)
 
     return parser

@@ -57,9 +57,9 @@ def compute_evidence(circuit: Circuit) -> np.ndarray:
     return z
 
 
-def renormalize(circuit: Circuit, evidence: np.ndarray | None = None) -> float:
+def renormalize(circuit: Circuit) -> float:
     """Rewrite every sum's weights as posterior weights; returns the root log evidence."""
-    z = compute_evidence(circuit) if evidence is None else evidence
+    z = compute_evidence(circuit)
     for node_id, node in enumerate(circuit.nodes):
         if isinstance(node, SumNode):
             log_w = node.log_weights + z[node.children] - z[node_id]

@@ -13,10 +13,10 @@ A covariate split stores its ``split_dim`` and its sorted interior
 derives every node's region from the root in the pass that runs
 ``validate``'s checks, and gives each leaf the stored rows inside its
 region (``circuit._rows_inside``), ascending as the builder assigns them.
-No node stores a region box, its scope or a leaf's rows. Saving derives
-the regions the same way and refuses a leaf whose training data are not
-the rows inside its region, so a written file loads as the model that
-wrote it, even when a split's edges changed after building.
+No node stores a region box, its scope or a leaf's rows. Saving runs the
+same checks and refuses a leaf whose training data are not the rows
+inside its region, so a written file loads as the model that wrote it,
+even when a split's edges changed after building.
 
 Earlier files still load, and their stored copies are ignored: each
 node's ``scope`` and each leaf's ``rows``, and in schema 1 every node's box
@@ -49,8 +49,6 @@ from .circuit import (
     ProductYNode,
     StructureConfig,
     SumNode,
-    _check_ids,
-    _derive_regions,
     _rows_inside,
     _validated_regions,
 )
@@ -191,16 +189,10 @@ def model_to_dict(
 ) -> dict:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # a leaf on other rows than those inside its region would load as another
-    # model, so the regions are derived from the split edges as the loader
-    # derives them, once the links are sound; the loader's other checks refuse
-    # a file, never change it. Sound links reach every node from the root, so
-    # a node without a region sits below edges that _cells reported
-    problems = _check_ids(circuit)
-    regions = [] if problems else _derive_regions(circuit, problems)
-    leaves = list(circuit.leaves())
+    regions, problems = _validated_regions(circuit)
     if problems:
         raise SchemaError(f"invalid circuit: {problems[0]}")
+    leaves = list(circuit.leaves())
     # take and != cost less than indexing and array_equal per leaf; a leaf
     # keeps one train_y value per train_x row, so one shape test serves both
     for (i, node), rows in zip(leaves, _rows_inside([regions[i] for i, _ in leaves], x)):
@@ -314,7 +306,10 @@ def write_text_atomic(path, content: str | bytes):
             fh.write(content)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         _fsync_directory(directory)
     except BaseException:
         try:

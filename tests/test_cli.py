@@ -1,18 +1,23 @@
 """End-to-end command line tests (in-process)."""
 
+import argparse
 import csv
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import momogp.cli as cli
 import oracles
+from momogp.circuit import StructureConfig
 from momogp.data_pipeline import load_csv, synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
 from momogp.metrics import mean_nlpd
 from momogp.serialize import load_model, model_from_dict
+from momogp.training import TrainConfig
 
 
 def write_train_csv(path, n=60, seed=0, p=2):
@@ -192,13 +197,17 @@ def test_missing_input_is_io_error(tmp_path, trained_model, capsys):
          "absent.csv"),
         # an atomic write into a missing directory names the user's path, not its temp file
         (["predict", model, queries, "--out", tmp_path / "absent" / "p.csv"], "p.csv"),
+        # and so does a rename onto an existing directory
+        (["predict", model, queries, "--out", tmp_path / "taken"], "taken"),
     ]
+    (tmp_path / "taken").mkdir()
     capsys.readouterr()
     for argv, named in cases:
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("ERROR io:")
         assert named in err and ".tmp" not in err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_bad_csv_is_invalid(tmp_path, capsys):
@@ -234,7 +243,17 @@ def test_unknown_config_section_is_invalid(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("pipeline", "structure_kind", "sumgp"), ("training", "gamma_parameterization", "rate")],
+    [
+        ("pipeline", "structure_kind", "sumgp"),
+        ("training", "gamma_parameterization", "rate"),
+        ("training", "adam_beta1", 0.9),
+        ("training", "adam_beta2", 0.999),
+        ("training", "adam_epsilon", 1e-8),
+        ("training", "early_stop_rel_tol", 1e-5),
+        ("training", "early_stop_patience", 10),
+        ("training", "init_gamma_shape", 2.0),
+        ("training", "init_signal_variance", 1.0),
+    ],
 )
 def test_removed_config_keys_are_invalid(tmp_path, capsys, section, key, value):
     config = write_config(tmp_path / "cfg.json", **{section: {key: value}})
@@ -261,6 +280,51 @@ def test_wrong_typed_config_value_is_invalid(tmp_path, capsys, section, key, val
     assert run(["train", csv_path, "--config", config, "--out", tmp_path / "m.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR invalid:") and key in err
+
+
+def values_outside_their_range():
+    """(section, key, a value just outside its range) for each bound of every config key."""
+    cases = []
+    for section, cls in (
+        ("structure", StructureConfig), ("training", TrainConfig), ("pipeline", cli.RunConfig)
+    ):
+        for f in fields(cls):
+            for rule, bound in f.metadata.items():
+                if rule == "choices":
+                    value = "none_of_these"
+                elif rule in ("gt", "lt"):
+                    value = bound
+                elif "int" in f.type:
+                    value = bound - 1
+                else:
+                    value = math.nextafter(bound, -math.inf)
+                cases.append(pytest.param(section, f.name, value, id=f"{section}.{f.name}.{rule}"))
+    return cases
+
+
+@pytest.mark.parametrize("section, key, value", values_outside_their_range())
+def test_config_value_outside_its_range_is_invalid(tmp_path, capsys, section, key, value):
+    config = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+    csv_path = write_train_csv(tmp_path / "train.csv", n=20)
+    assert run(["train", csv_path, "--config", config, "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR invalid: {key} must be")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_every_flag_dest_names_a_config_key():
+    # a dest that named no field would set an attribute that nothing reads
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    dests = {
+        a.dest for p in subparsers.choices.values() for a in p._actions if "." in a.dest
+    }
+    assert dests
+    for dest in dests:
+        section, key = dest.split(".")
+        assert section in cli._SECTIONS
+        assert key in cli._section_keys(cli._section(cli.RunConfig(), section))
 
 
 @pytest.mark.parametrize("section, value", [("structure", []), ("pipeline", 5), ("training", "x")])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -287,6 +288,21 @@ def test_save_checks_leaves_against_the_regions_their_edges_derive(tmp_path):
     orphan = len(circuit.nodes) - 1
     with pytest.raises(SchemaError, match=f"invalid circuit: node {orphan}: no parent"):
         save_model(path, circuit, transforms, data.x, data.y)
+    assert not path.exists()
+
+
+def test_save_refuses_what_loading_refuses(tmp_path):
+    # unnormalized sum weights pass the link and region checks, and a file
+    # written with them would not load
+    data = synth_multioutput(60, 2, 2, seed=9)
+    circuit = build(data, StructureConfig(leaf_threshold=15))
+    circuit, _ = train(circuit, data, TrainConfig(max_epochs=1))
+    circuit.nodes[circuit.root].log_weights += 0.5
+    problem = f"node {circuit.root}: weights sum to exp(0.5"
+    assert validate(circuit)[0].startswith(problem)
+    path = tmp_path / "m.json"
+    with pytest.raises(SchemaError, match=re.escape(f"invalid circuit: {problem}")):
+        save_model(path, circuit, None, data.x, data.y)
     assert not path.exists()
 
 

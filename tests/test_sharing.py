@@ -195,7 +195,7 @@ def test_train_fits_each_shared_leaf_once_per_epoch(monkeypatch):
 
     monkeypatch.setattr(GpLeaf, "fit", counting_fit)
     # no early stop, and the last epoch is the best, so nothing is refitted
-    cfg = TrainConfig(max_epochs=3, early_stop_patience=100, rng_seed=0)
+    cfg = TrainConfig(max_epochs=3, rng_seed=0)
     _, report = train(circuit, work, cfg)
     leaves = [node.leaf for _, node in circuit.leaves()]
     assert report.leaf_count == len(leaves)
