@@ -15,7 +15,10 @@ from LAPACK trtrs:
     v(x*) = k(x*, x*) - k(x*, X) C^-1 k(X, x*)
 
 Gradients are taken with respect to the log parameters, so e.g.
-d mll / d log sigma_f^2 = 1/2 tr((alpha alpha^T - C^-1) K).
+d mll / d log sigma_f^2 = 1/2 tr((alpha alpha^T - C^-1) K). A fit asked
+for the gradient takes it from the K and exp(-sqrt(3) r) it has just
+built and keeps it in the fit state, so training builds each kernel
+once per step.
 """
 
 from __future__ import annotations
@@ -173,8 +176,8 @@ class _Fitted(NamedTuple):
     """What ``GpLeaf.fit`` derives from the hyperparameters it fitted with.
 
     ``hyperparams`` is that object itself; the rest is computed from it once:
-    the lengthscales, both variances and the training inputs divided by the
-    lengthscales.
+    the lengthscales, both variances, the training inputs divided by the
+    lengthscales and, when the fit was asked for it, the MLL gradient.
     """
 
     hyperparams: KernelHyperparams
@@ -182,6 +185,7 @@ class _Fitted(NamedTuple):
     signal_variance: float
     noise_variance: float
     scaled_x: np.ndarray
+    gradient: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -195,8 +199,11 @@ class GpLeaf:
 
     ``fit`` is the one place that sets the fit state: the Cholesky factor,
     alpha, the MLL and jitter, and a ``_Fitted`` record of the lengthscales,
-    variances and scaled training inputs it used. ``posterior_batch`` and
-    ``mll_gradient`` serve from that state and compute none of it again.
+    variances and scaled training inputs it used, plus the MLL gradient
+    when ``fit(gradient=True)`` computed it. ``posterior_batch`` and
+    ``mll_gradient`` serve from that state and compute none of it again;
+    ``mll_gradient`` returns the kept gradient, and only after a plain fit
+    builds the kernel again to compute it.
     Hyperparameters are values: a leaf whose ``hyperparams`` were replaced
     since its last fit counts as not fitted and raises NotFittedError until
     ``fit`` (or ``refit``) runs, so an old factor is never served with new
@@ -238,9 +245,14 @@ class GpLeaf:
         """Whether the fit state belongs to the current ``hyperparams``."""
         return self._fitted is not None and self._fitted.hyperparams is self.hyperparams
 
-    def fit(self) -> "GpLeaf":
+    def fit(self, gradient: bool = False) -> "GpLeaf":
         """Factorise C = K + sigma_n^2 I (jittered if it must be) and cache
-        alpha = C^-1 y, the MLL, the jitter used and what serving reads."""
+        alpha = C^-1 y, the MLL, the jitter used and what serving reads.
+
+        With ``gradient`` the MLL gradient is computed from the kernel this
+        fit just built and kept for ``mll_gradient``; the numbers are the
+        same as ``mll_gradient`` computes after a plain fit.
+        """
         n = self.n_train
         hyper = self.hyperparams
         if hyper.n_dims != self.n_dims:
@@ -254,8 +266,9 @@ class GpLeaf:
                 hyper, lengthscales, hyper.signal_variance, hyper.noise_variance,
                 _scaled(self.train_x, lengthscales),
             )
-            c = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)[0]
+            c, decay = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)
             c.flat[:: n + 1] += state.noise_variance
+            # factors a copy: c is still C when the factorisation returns
             chol, self.jitter = _jittered_cholesky(c)
         self.chol_factor = chol
         self.alpha = cho_solve((chol, True), self.train_y, check_finite=False)
@@ -263,6 +276,10 @@ class GpLeaf:
         self.cached_mll = -0.5 * (
             float(self.train_y @ self.alpha) + log_det + n * _LOG_2PI
         )
+        if gradient:
+            # back to K: _matern32 puts exactly sigma_f^2 on the diagonal
+            c.flat[:: n + 1] = state.signal_variance
+            state = state._replace(gradient=self._gradient(state, c, decay))
         self._fitted = state
         return self
 
@@ -324,6 +341,18 @@ class GpLeaf:
     def mll_gradient(self) -> np.ndarray:
         """Gradient of the cached MLL w.r.t. the packed log parameters.
 
+        A copy of the one ``fit(gradient=True)`` kept; after a plain fit the
+        kernel is built again and differentiated by the same routine.
+        """
+        state = self._require_fit()
+        if state.gradient is not None:
+            return state.gradient.copy()
+        k, decay = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)
+        return self._gradient(state, k, decay)
+
+    def _gradient(self, state: _Fitted, k: np.ndarray, decay: np.ndarray) -> np.ndarray:
+        """The MLL gradient from the fit state, K and exp(-sqrt(3) r).
+
         Uses the trace identity d mll / d theta = 1/2 tr((alpha alpha^T
         - C^-1) dC/dtheta). For the Matern-3/2 ARD kernel,
         dK/d log l_d = 3 sigma_f^2 exp(-sqrt(3) r) (s_id - s_jd)^2 with
@@ -334,7 +363,6 @@ class GpLeaf:
         the two terms from cancelling. Jitter is treated as a constant
         shift.
         """
-        state = self._require_fit()
         n = self.n_train
         d = self.n_dims
         # potri writes the lower triangle of C^-1 over a copy of the factor,
@@ -343,14 +371,18 @@ class GpLeaf:
         c_inv = lapack.dpotri(self.chol_factor, lower=1)[0]
         c_inv = c_inv + c_inv.T
         c_inv.flat[:: n + 1] *= 0.5
-        a = np.outer(self.alpha, self.alpha) - c_inv
-        k, decay = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)
-        b = 1.5 * state.signal_variance * (a * decay)
+        # the n x n temporaries reuse C-ordered buffers only: potri's output
+        # is Fortran-ordered, and a Fortran-ordered b would sum its rows and
+        # multiply in another order, so in other rounding
+        a = np.outer(self.alpha, self.alpha)
+        a -= c_inv
+        b = np.multiply(a, decay, out=c_inv)
+        b *= 1.5 * state.signal_variance
         s = state.scaled_x - state.scaled_x.mean(axis=0)
         grad = np.empty(d + 2)
         grad[:d] = 2.0 * ((s * s).T @ b.sum(axis=1) - np.sum(s * (b @ s), axis=0))
-        grad[d] = 0.5 * float(np.sum(a * k))
         grad[d + 1] = 0.5 * state.noise_variance * float(np.trace(a))
+        grad[d] = 0.5 * float(np.sum(np.multiply(a, k, out=a)))
         return grad
 
     def refit(self, hyperparams: KernelHyperparams) -> "GpLeaf":

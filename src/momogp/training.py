@@ -57,6 +57,8 @@ class TrainReport:
     final_total_mll: float
     final_root_log_evidence: float
     stopped_early: bool
+    # the total MLL over all leaves after each epoch run, in order
+    epoch_total_mll: list[float]
     # leaves whose final fit needed diagonal jitter, and the largest it took
     jittered_leaves: int
     max_jitter: float
@@ -100,10 +102,19 @@ def train(
     """Fit every leaf, optimise, restore the best snapshot, renormalize.
 
     ``data`` is accepted for interface symmetry and only sanity-checked:
-    the leaves already carry their training subsets. ``threads`` is a
-    compatibility keyword: ``None`` and ``1`` are accepted, anything else
-    is refused because leaf fits run in the calling thread. It goes once
-    the benchmark harness stops passing it.
+    the leaves already carry their training subsets.
+
+    Each step's gradients are read through ``GpLeaf.mll_gradient``, and the
+    fit before the step computes them from the kernel it builds
+    (``fit(gradient=True)``): the initial fit when ``max_epochs > 0`` and
+    every epoch's fit but the last. A run that stops early has therefore
+    computed one epoch of gradients that no step uses; at a fixed
+    ``max_epochs`` none is wasted. The best-snapshot refit is a plain fit.
+    ``report.epoch_total_mll`` holds the total MLL after each epoch run.
+
+    ``threads`` is a compatibility keyword: ``None`` and ``1`` are accepted,
+    anything else is refused because leaf fits run in the calling thread.
+    It goes once the benchmark harness stops passing it.
     """
     if threads not in (None, 1):
         raise ValueError(f"threads={threads!r}: leaf fits run in the calling thread")
@@ -117,10 +128,10 @@ def train(
     n_params = circuit.n_dims + 2
     times: dict[str, float] = {}
 
-    def fit_all(theta: np.ndarray) -> float:
+    def fit_all(theta: np.ndarray, gradient: bool = False) -> float:
         for leaf, vec in zip(leaves, theta):
             leaf.hyperparams = KernelHyperparams.from_vector(vec, circuit.n_dims)
-        mlls = (leaf.fit().cached_mll for leaf in leaves)
+        mlls = (leaf.fit(gradient=gradient).cached_mll for leaf in leaves)
         return float(np.sum(np.fromiter(mlls, float, n_leaves)))
 
     t0 = time.perf_counter()
@@ -128,7 +139,7 @@ def train(
     theta = np.array(
         [_initial_draw(slots[i], circuit.n_dims, cfg).to_vector() for i in leaf_ids]
     ).reshape(n_leaves, n_params)
-    initial_total = fit_all(theta)
+    initial_total = fit_all(theta, gradient=cfg.max_epochs > 0)
     times["init"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -138,12 +149,13 @@ def train(
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     prev_total = initial_total
+    epoch_totals: list[float] = []
     epochs = 0
     streak = 0
     stopped_early = False
     for epoch in range(cfg.max_epochs):
         step = epoch + 1
-        # the gradient of the fit the leaves hold, taken only when a step uses it
+        # the gradient each leaf's last fit computed for this step
         grads = np.array([leaf.mll_gradient() for leaf in leaves], dtype=float)
         grads = grads.reshape(n_leaves, n_params)
         bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
@@ -154,7 +166,8 @@ def train(
         m_hat = adam_m / (1 - _ADAM_BETA1**step)
         v_hat = adam_v / (1 - _ADAM_BETA2**step)
         theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
-        total = fit_all(theta)
+        total = fit_all(theta, gradient=step < cfg.max_epochs)
+        epoch_totals.append(total)
         epochs += 1
         if total > best_total:
             best_total = total
@@ -186,6 +199,7 @@ def train(
         final_total_mll=best_total,
         final_root_log_evidence=root_log_evidence,
         stopped_early=stopped_early,
+        epoch_total_mll=epoch_totals,
         jittered_leaves=sum(leaf.jitter > 0.0 for leaf in leaves),
         max_jitter=max((leaf.jitter for leaf in leaves), default=0.0),
         wall_time=times,

@@ -11,7 +11,7 @@ import pytest
 
 import momogp.cli as cli
 import oracles
-from momogp.circuit import StructureConfig
+from momogp.circuit import StructureConfig, count_induced_trees
 from momogp.data_pipeline import load_csv, synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
@@ -544,8 +544,9 @@ def test_corrupt_model_file_is_invalid(tmp_path, trained_model, capsys, corrupti
 
 
 def test_exact_nlpd_past_the_old_cap_is_served(tmp_path, capsys):
-    # 97,125 nodes and about 1e30 induced trees: the exact density is one pass
-    csv_path = write_train_csv(tmp_path / "train.csv", n=300, p=1)
+    # 2,844 nodes and about 1.4e7 induced trees, past the old cap of 1e6:
+    # the exact density is one pass
+    csv_path = write_train_csv(tmp_path / "train.csv", n=100, p=1)
     config = write_config(
         tmp_path / "cfg.json",
         structure={"k_sum": 3, "leaf_threshold": 8},
@@ -563,6 +564,7 @@ def test_exact_nlpd_past_the_old_cap_is_served(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["nlpd_mode"] == "exact_mixture"
     bundle = load_model(model)
+    assert count_induced_trees(bundle.circuit) > 10**6
     data = load_csv(csv_path, 1)
     expected = mean_nlpd(
         bundle.circuit,

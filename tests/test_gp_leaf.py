@@ -397,6 +397,52 @@ def test_replaced_hyperparams_need_a_fit_before_serving():
         assert np.array_equal(got, want)
 
 
+def test_gradient_fit_matches_plain_fit_bitwise():
+    # the gradient taken from the kernel fit just built is the one a plain
+    # fit's mll_gradient computes from a rebuilt kernel, to the last bit
+    rng = np.random.default_rng(17)
+    leaves = []
+    for d in (1, 3, 8):
+        for n in (1, 9, 40):
+            x = rng.normal(size=(n, d))
+            y = np.sin(x.sum(axis=1)) + 0.2 * rng.normal(size=n)
+            leaves.append(GpLeaf(0, x, y, oracles.random_hyperparams(rng, d)))
+    x = np.repeat(rng.normal(size=(4, 2)), 3, axis=0)
+    leaves.append(GpLeaf(0, x, np.sin(x.sum(axis=1)), unit_hyper(2, log_noise=-60.0)))
+    for leaf in leaves:
+        plain = leaf.fit().mll_gradient()
+        fused = leaf.fit(gradient=True).mll_gradient()
+        assert np.array_equal(fused, plain)
+    assert leaves[-1].jitter > 0.0
+
+
+def test_gradient_fit_serves_a_copy_and_the_same_fit():
+    rng = np.random.default_rng(18)
+    leaf = random_leaf(rng, n=15, d=3)
+    plain = (leaf.cached_mll, leaf.alpha.copy(), leaf.chol_factor.copy(), leaf.jitter)
+    assert leaf.fit(gradient=True) is leaf
+    assert leaf.cached_mll == plain[0] and leaf.jitter == plain[3]
+    assert np.array_equal(leaf.alpha, plain[1])
+    assert np.array_equal(leaf.chol_factor, plain[2])
+    grad = leaf.mll_gradient()
+    grad[:] = 0.0
+    assert np.any(leaf.mll_gradient() != 0.0)
+
+
+def test_replaced_hyperparams_after_a_gradient_fit_need_a_fit():
+    # the kept gradient belongs to the fit's hyperparameters, like the factor
+    rng = np.random.default_rng(19)
+    leaf = random_leaf(rng, n=12, d=2).fit(gradient=True)
+    leaf.hyperparams = oracles.random_hyperparams(rng, 2)
+    with pytest.raises(NotFittedError):
+        leaf.mll_gradient()
+    leaf.hyperparams = unit_hyper(1)
+    with pytest.raises(ValueError, match="1 dims, leaf has 2"):
+        leaf.fit(gradient=True)
+    with pytest.raises(NotFittedError):
+        leaf.mll_gradient()
+
+
 def test_fit_refuses_hyperparams_of_another_width():
     rng = np.random.default_rng(16)
     leaf = random_leaf(rng, d=2)

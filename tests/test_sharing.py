@@ -189,9 +189,9 @@ def test_train_fits_each_shared_leaf_once_per_epoch(monkeypatch):
     calls = Counter()
     fit = GpLeaf.fit
 
-    def counting_fit(leaf):
+    def counting_fit(leaf, *args, **kwargs):
         calls[id(leaf)] += 1
-        return fit(leaf)
+        return fit(leaf, *args, **kwargs)
 
     monkeypatch.setattr(GpLeaf, "fit", counting_fit)
     # no early stop, and the last epoch is the best, so nothing is refitted

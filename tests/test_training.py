@@ -1,18 +1,27 @@
 """Per-leaf Adam ascent and initialisation tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from momogp.circuit import StructureConfig, SumNode, build
 from momogp.data_pipeline import Dataset
+from momogp.gp_leaf import GpLeaf
+from momogp.serialize import save_model
 from momogp.training import TrainConfig, _initial_draw, train
 
 
-def small_circuit(seed=0, n=60, d=2, p=2, threshold=10):
+def small_data(seed=0, n=60, d=2, p=2):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     y = np.sin(x @ rng.normal(size=(d, p))) + 0.1 * rng.normal(size=(n, p))
-    return build(Dataset(x, y), StructureConfig(leaf_threshold=threshold, rng_seed=seed))
+    return Dataset(x, y)
+
+
+def small_circuit(seed=0, n=60, d=2, p=2, threshold=10):
+    data = small_data(seed, n, d, p)
+    return build(data, StructureConfig(leaf_threshold=threshold, rng_seed=seed))
 
 
 # ------------------------------------------------------------ initialisation
@@ -98,6 +107,44 @@ def test_threads_keyword_accepts_only_the_calling_thread():
         train(small_circuit(1), cfg=cfg, threads=2)
 
 
+def test_gradient_fits_write_the_model_plain_fits_write(tmp_path, monkeypatch):
+    # the whole loop with gradients taken inside the fits against the same
+    # loop with every gradient rebuilt by mll_gradient after a plain fit
+    data = small_data(6, n=80, d=3)
+    cfg = TrainConfig(max_epochs=6, rng_seed=4)
+
+    def trained_model_bytes(name):
+        circuit = build(data, StructureConfig(leaf_threshold=12, rng_seed=6))
+        assert len(circuit.leaf_ids()) > 4
+        train(circuit, data, cfg)
+        save_model(tmp_path / name, circuit, None, data.x, data.y)
+        return (tmp_path / name).read_bytes()
+
+    fused = trained_model_bytes("fused.json")
+    fit = GpLeaf.fit
+    monkeypatch.setattr(GpLeaf, "fit", lambda leaf, gradient=False: fit(leaf))
+    assert trained_model_bytes("plain.json") == fused
+
+
+def test_gradients_are_computed_only_for_steps(monkeypatch):
+    # at a fixed epoch budget every gradient a fit computes is used: the
+    # initial fit and each epoch's fit but the last ask for one
+    calls = Counter()
+    fit = GpLeaf.fit
+
+    def counting_fit(leaf, gradient=False):
+        calls[gradient] += 1
+        return fit(leaf, gradient=gradient)
+
+    monkeypatch.setattr(GpLeaf, "fit", counting_fit)
+    _, report = train(small_circuit(7), cfg=TrainConfig(max_epochs=4, rng_seed=0))
+    assert not report.stopped_early
+    assert calls[True] == 4 * report.leaf_count
+    calls.clear()
+    train(small_circuit(7), cfg=TrainConfig(max_epochs=0, rng_seed=0))
+    assert calls[True] == 0
+
+
 def test_max_epochs_zero_keeps_initial_draws():
     circuit = small_circuit(2)
     cfg = TrainConfig(max_epochs=0, rng_seed=7)
@@ -144,12 +191,15 @@ def test_report_to_dict_keys():
         "final_total_mll",
         "final_root_log_evidence",
         "stopped_early",
+        "epoch_total_mll",
         "jittered_leaves",
         "max_jitter",
         "wall_time",
     ):
         assert key in d
     assert (d["jittered_leaves"], d["max_jitter"]) == (0, 0.0)
+    assert len(d["epoch_total_mll"]) == d["epochs_run"] == 2
+    assert d["final_total_mll"] == max([d["initial_total_mll"], *d["epoch_total_mll"]])
 
     # duplicated covariates with near-zero noise: every final fit needs jitter
     x = np.repeat(np.arange(6.0)[:, None], 5, axis=0)
