@@ -15,7 +15,10 @@ topological order: every child id is lower than its parent's, every
 node except the root has at least one parent and the root has none (so
 the root is the last node). The builder adds children first, and
 ``validate`` checks this rule for built and loaded circuits alike, so
-every bottom-up pass is a plain loop over the ids.
+every bottom-up pass is a plain loop over the ids. Nodes, leaves and
+circuits are identities, not values: each compares equal only to
+itself, so ``node in circuit.nodes`` and ``circuit.nodes.index(node)``
+find that very node.
 
 The split edges are the only stored covariate partition: the root is
 unbounded, a sum or an output partition hands its region to its children
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -184,7 +187,7 @@ class StructureConfig:
         _check_fields(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class SumNode:
     children: list[int]
     log_weights: np.ndarray
@@ -196,7 +199,7 @@ class SumNode:
             raise ValueError("one log weight per child required")
 
 
-@dataclass
+@dataclass(eq=False)
 class ProductXNode:
     """Cuts its region along ``split_dim`` at the sorted interior ``edges``,
     one fewer than its children; child j holds the j-th cell."""
@@ -216,22 +219,25 @@ class ProductXNode:
         return self.region.cut(self.split_dim, self.edges)
 
 
-@dataclass
+@dataclass(eq=False)
 class ProductYNode:
     children: list[int]
     region: Optional[Region] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class LeafNode:
     leaf: GpLeaf
     region: Optional[Region] = None
 
 
-Node = Union[SumNode, ProductXNode, ProductYNode, LeafNode]
+# each node class and its name in ``describe`` and in model files
+NODE_KINDS = {
+    SumNode: "sum", ProductXNode: "product_x", ProductYNode: "product_y", LeafNode: "leaf"
+}
 
 
-@dataclass
+@dataclass(eq=False)
 class Circuit:
     """Node array addressed by integer ids in topological order; ``root`` indexes into it."""
 
@@ -240,9 +246,6 @@ class Circuit:
     n_outputs: int
     n_dims: int
     config: StructureConfig
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def leaves(self):
         for i, node in enumerate(self.nodes):
@@ -253,12 +256,9 @@ class Circuit:
         return [i for i, _ in self.leaves()]
 
     def describe(self) -> dict:
-        kinds = {
-            SumNode: "sum", ProductXNode: "product_x", ProductYNode: "product_y", LeafNode: "leaf"
-        }
-        counts = dict.fromkeys(kinds.values(), 0)
+        counts = dict.fromkeys(NODE_KINDS.values(), 0)
         for node in self.nodes:
-            counts[kinds[type(node)]] += 1
+            counts[NODE_KINDS[type(node)]] += 1
         return {
             "nodes": len(self.nodes),
             **counts,
@@ -411,7 +411,7 @@ def _check_ids(circuit: Circuit) -> list[str]:
     problems: list[str] = []
     parents = [0] * n
     for i, node in enumerate(nodes):
-        if not isinstance(node, (SumNode, ProductXNode, ProductYNode, LeafNode)):
+        if type(node) not in NODE_KINDS:
             problems.append(f"node {i}: unknown node type {type(node).__name__}")
             continue
         if isinstance(node, LeafNode):

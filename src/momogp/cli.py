@@ -48,7 +48,7 @@ from .images import (
 from .inference import NLPD_MODES, predict_batch
 from .metrics import EvalResult, mae, mean_nlpd, per_output_rmse, rmse
 from .serialize import (
-    dumps_canonical,
+    load_json,
     load_model,
     save_model,
     write_json_atomic,
@@ -122,11 +122,7 @@ def load_run_config(
     """
     if path is None:
         return cfg
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: config root must be an object")
     version = obj.get("schema_version", CONFIG_SCHEMA_VERSION)

@@ -51,28 +51,33 @@ def load_csv(path, n_outputs: int) -> Dataset:
     """Load a numeric comma-separated file whose last ``n_outputs`` columns are targets.
 
     The first row is kept as column names when any of its cells fails to
-    parse as a number. Rows with unparseable or non-finite fields are
+    parse as a number. Rows with unparseable or non-finite fields, or that
+    the csv module cannot read (a field over its size limit, say), are
     rejected with their 1-based line number.
     """
     rows = []
     names = None
+    line_no = 0
     with open(path, newline="") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if line_no == 1:
-                try:
-                    [float(cell) for cell in record]
-                except ValueError:
-                    names = [cell.strip() for cell in record]
+        try:
+            for line_no, record in enumerate(csv.reader(fh), start=1):
+                if not record or all(cell.strip() == "" for cell in record):
                     continue
-            try:
-                values = [float(cell) for cell in record]
-            except ValueError as exc:
-                raise ValueError(f"row {line_no}: unparseable field ({exc})") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"row {line_no}: non-finite value")
-            rows.append(values)
+                if line_no == 1:
+                    try:
+                        [float(cell) for cell in record]
+                    except ValueError:
+                        names = [cell.strip() for cell in record]
+                        continue
+                try:
+                    values = [float(cell) for cell in record]
+                except ValueError as exc:
+                    raise ValueError(f"row {line_no}: unparseable field ({exc})") from None
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"row {line_no}: non-finite value")
+                rows.append(values)
+        except csv.Error as exc:
+            raise ValueError(f"row {line_no + 1}: unreadable ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

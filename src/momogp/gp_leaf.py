@@ -3,11 +3,12 @@
 Each expert owns a Matern-3/2 kernel with per-dimension lengthscales
 (automatic relevance determination), a signal variance and a noise
 variance, all kept in log space so gradient ascent stays unconstrained.
-Fitting caches a Cholesky factorisation of the noisy Gram matrix
-(LAPACK potrf); the posterior moments, the marginal log likelihood and
-its gradient then follow in closed form, the gradient's C^-1 coming
-from that factor by LAPACK potri and the posterior's triangular solve
-from LAPACK trtrs:
+Hyperparameters are frozen values (``KernelHyperparams``): a leaf's fit
+belongs to the one value it fitted with. Fitting caches a Cholesky
+factorisation of the noisy Gram matrix (LAPACK potrf); the posterior
+moments, the marginal log likelihood and its gradient then follow in
+closed form, the gradient's C^-1 coming from that factor by LAPACK potri
+and the posterior's triangular solve from LAPACK trtrs:
 
     C = K + sigma_n^2 I
     mll = -1/2 (y^T C^-1 y + log|C| + N log 2pi)
@@ -50,9 +51,9 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KernelHyperparams:
-    """Log-space kernel hyperparameters.
+    """Log-space kernel hyperparameters: a frozen value.
 
     Parameters
     ----------
@@ -62,45 +63,51 @@ class KernelHyperparams:
         Log of sigma_f^2, the kernel output scale.
     log_noise_variance : float
         Log of sigma_n^2, the observation noise variance.
+
+    The value keeps a read-only copy of ``log_lengthscales`` and computes
+    ``lengthscales`` (read-only too), ``signal_variance`` and
+    ``noise_variance`` once. No field can be written, so changing a leaf's
+    hyperparameters means giving it a new value, which ``GpLeaf.is_fitted``
+    sees.
     """
 
     log_lengthscales: np.ndarray
     log_signal_variance: float
     log_noise_variance: float
+    lengthscales: np.ndarray = field(init=False, repr=False)
+    signal_variance: float = field(init=False, repr=False)
+    noise_variance: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.log_lengthscales = np.atleast_1d(
-            np.asarray(self.log_lengthscales, dtype=float)
-        )
-        if self.log_lengthscales.ndim != 1:
+        log_lengthscales = np.atleast_1d(np.array(self.log_lengthscales, dtype=float))
+        if log_lengthscales.ndim != 1:
             raise ValueError("log_lengthscales must be a 1-d vector")
-        self.log_signal_variance = float(self.log_signal_variance)
-        self.log_noise_variance = float(self.log_noise_variance)
-        if not (
-            np.all(np.isfinite(self.log_lengthscales))
-            and math.isfinite(self.log_signal_variance)
-            and math.isfinite(self.log_noise_variance)
-        ):
+        log_sf2, log_sn2 = float(self.log_signal_variance), float(self.log_noise_variance)
+        if not (np.all(np.isfinite(log_lengthscales))
+                and math.isfinite(log_sf2) and math.isfinite(log_sn2)):
             raise ValueError("kernel hyperparameters must be finite")
+        # a lengthscale too large to hold is infinite, and the kernel then
+        # ignores that covariate, which is the limit of a growing lengthscale
+        with np.errstate(over="ignore"):
+            lengthscales = np.exp(log_lengthscales)
+        for a in (log_lengthscales, lengthscales):
+            a.flags.writeable = False
+        for name, value in (
+            ("log_lengthscales", log_lengthscales), ("log_signal_variance", log_sf2),
+            ("log_noise_variance", log_sn2), ("lengthscales", lengthscales),
+            ("signal_variance", _exp(log_sf2)), ("noise_variance", _exp(log_sn2)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor, so they are read-only too
+        return type(self), (
+            self.log_lengthscales, self.log_signal_variance, self.log_noise_variance
+        )
 
     @property
     def n_dims(self) -> int:
         return self.log_lengthscales.shape[0]
-
-    @property
-    def lengthscales(self) -> np.ndarray:
-        # a lengthscale too large to hold is infinite, and the kernel then
-        # ignores that covariate, which is the limit of a growing lengthscale
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_lengthscales)
-
-    @property
-    def signal_variance(self) -> float:
-        return _exp(self.log_signal_variance)
-
-    @property
-    def noise_variance(self) -> float:
-        return _exp(self.log_noise_variance)
 
     def to_vector(self) -> np.ndarray:
         """Pack into [log_lengthscales..., log_signal_variance, log_noise_variance]."""
@@ -118,7 +125,7 @@ class KernelHyperparams:
             raise ValueError(
                 f"expected a vector of length {n_dims + 2}, got shape {vec.shape}"
             )
-        return cls(vec[:n_dims].copy(), float(vec[n_dims]), float(vec[n_dims + 1]))
+        return cls(vec[:n_dims], float(vec[n_dims]), float(vec[n_dims + 1]))
 
 
 def _scaled(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
@@ -167,47 +174,41 @@ def _jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
             return chol, jitter
     raise NumericalError(
         f"Cholesky factorisation failed for a {n}x{n} system (not positive "
-        f"definite, or not finite) after jitter levels {list(JITTER_LEVELS)}",
-        jitter_levels=JITTER_LEVELS,
+        f"definite, or not finite) after jitter levels {list(JITTER_LEVELS)}"
     )
 
 
 class _Fitted(NamedTuple):
-    """What ``GpLeaf.fit`` derives from the hyperparameters it fitted with.
-
-    ``hyperparams`` is that object itself; the rest is computed from it once:
-    the lengthscales, both variances, the training inputs divided by the
-    lengthscales and, when the fit was asked for it, the MLL gradient.
-    """
+    """What ``GpLeaf.fit`` computed beyond its attributes: the hyperparameters
+    it fitted with (that value itself), the training inputs divided by their
+    lengthscales and, when the fit was asked for it, the MLL gradient."""
 
     hyperparams: KernelHyperparams
-    lengthscales: np.ndarray
-    signal_variance: float
-    noise_variance: float
     scaled_x: np.ndarray
     gradient: Optional[np.ndarray] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class GpLeaf:
     """A single-output GP expert; its ``LeafNode`` holds the covariate region.
 
-    The leaf keeps its own training subset (rows of the circuit's
-    training data) plus the cached fit state. ``row_idx`` records which
-    rows of the full training matrix the subset came from; the builder
-    and the loader set it.
+    The constructor takes the data and the hyperparameters only: the output
+    modelled, the training subset (rows of the circuit's training data), the
+    ``KernelHyperparams`` value and ``row_idx``, which rows of the full
+    training matrix the subset came from (the builder and the loader set it).
+    A leaf is an identity: two leaves compare equal only if they are one.
 
     ``fit`` is the one place that sets the fit state: the Cholesky factor,
-    alpha, the MLL and jitter, and a ``_Fitted`` record of the lengthscales,
-    variances and scaled training inputs it used, plus the MLL gradient
-    when ``fit(gradient=True)`` computed it. ``posterior_batch`` and
+    alpha, the MLL and jitter, and a ``_Fitted`` record of the hyperparameters
+    and scaled training inputs it used, plus the MLL gradient when
+    ``fit(gradient=True)`` computed it. ``posterior_batch`` and
     ``mll_gradient`` serve from that state and compute none of it again;
     ``mll_gradient`` returns the kept gradient, and only after a plain fit
     builds the kernel again to compute it.
-    Hyperparameters are values: a leaf whose ``hyperparams`` were replaced
-    since its last fit counts as not fitted and raises NotFittedError until
-    ``fit`` (or ``refit``) runs, so an old factor is never served with new
-    hyperparameters.
+    Hyperparameters are frozen values, so they change only by replacement:
+    a leaf whose ``hyperparams`` were replaced since its last fit counts as
+    not fitted and raises NotFittedError until ``fit`` (or ``refit``) runs,
+    so an old factor is never served with new hyperparameters.
     """
 
     scope_output: int
@@ -215,11 +216,11 @@ class GpLeaf:
     train_y: np.ndarray
     hyperparams: KernelHyperparams
     row_idx: Optional[np.ndarray] = None
-    chol_factor: Optional[np.ndarray] = field(default=None, repr=False)
-    alpha: Optional[np.ndarray] = field(default=None, repr=False)
-    cached_mll: Optional[float] = None
-    jitter: float = 0.0
-    _fitted: Optional[_Fitted] = field(default=None, init=False, repr=False, compare=False)
+    chol_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    alpha: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    cached_mll: Optional[float] = field(default=None, init=False)
+    jitter: float = field(default=0.0, init=False)
+    _fitted: Optional[_Fitted] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.train_x = np.asarray(self.train_x, dtype=float)
@@ -261,13 +262,9 @@ class GpLeaf:
         # a variance near overflow makes C non-finite, which the
         # factorisation rejects; numpy need not warn about it on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            lengthscales = hyper.lengthscales
-            state = _Fitted(
-                hyper, lengthscales, hyper.signal_variance, hyper.noise_variance,
-                _scaled(self.train_x, lengthscales),
-            )
-            c, decay = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)
-            c.flat[:: n + 1] += state.noise_variance
+            state = _Fitted(hyper, _scaled(self.train_x, hyper.lengthscales))
+            c, decay = _matern32(state.scaled_x, state.scaled_x, hyper.signal_variance)
+            c.flat[:: n + 1] += hyper.noise_variance
             # factors a copy: c is still C when the factorisation returns
             chol, self.jitter = _jittered_cholesky(c)
         self.chol_factor = chol
@@ -278,7 +275,7 @@ class GpLeaf:
         )
         if gradient:
             # back to K: _matern32 puts exactly sigma_f^2 on the diagonal
-            c.flat[:: n + 1] = state.signal_variance
+            c.flat[:: n + 1] = hyper.signal_variance
             state = state._replace(gradient=self._gradient(state, c, decay))
         self._fitted = state
         return self
@@ -300,6 +297,7 @@ class GpLeaf:
         function value.
         """
         state = self._require_fit()
+        hyper = state.hyperparams
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_dims:
             raise ValueError(
@@ -309,7 +307,7 @@ class GpLeaf:
         if not np.all(np.isfinite(x)):
             raise ValueError("query points must be finite")
         k_star = _matern32(
-            _scaled(x, state.lengthscales), state.scaled_x, state.signal_variance
+            _scaled(x, hyper.lengthscales), state.scaled_x, hyper.signal_variance
         )[0]
         mean = k_star @ self.alpha
         # L v = k*^T solved in k*'s own buffer: trtrs is the call scipy's
@@ -318,16 +316,16 @@ class GpLeaf:
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK trtrs info {info})")
         np.square(v, out=v)
-        var = state.signal_variance - np.sum(v, axis=0)
+        var = hyper.signal_variance - np.sum(v, axis=0)
         # tiny negative values are roundoff; anything larger is a real failure,
         # and so is NaN from a query so far away that its distance overflows
-        if not np.all(var >= -1e-8 * state.signal_variance):
+        if not np.all(var >= -1e-8 * hyper.signal_variance):
             raise NumericalError(
                 f"posterior variance went negative or NaN ({float(var.min())})"
             )
         np.maximum(var, 0.0, out=var)
         if include_noise:
-            var += state.noise_variance
+            var += hyper.noise_variance
         return mean, var
 
     def posterior(
@@ -347,7 +345,7 @@ class GpLeaf:
         state = self._require_fit()
         if state.gradient is not None:
             return state.gradient.copy()
-        k, decay = _matern32(state.scaled_x, state.scaled_x, state.signal_variance)
+        k, decay = _matern32(state.scaled_x, state.scaled_x, state.hyperparams.signal_variance)
         return self._gradient(state, k, decay)
 
     def _gradient(self, state: _Fitted, k: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -377,11 +375,11 @@ class GpLeaf:
         a = np.outer(self.alpha, self.alpha)
         a -= c_inv
         b = np.multiply(a, decay, out=c_inv)
-        b *= 1.5 * state.signal_variance
+        b *= 1.5 * state.hyperparams.signal_variance
         s = state.scaled_x - state.scaled_x.mean(axis=0)
         grad = np.empty(d + 2)
         grad[:d] = 2.0 * ((s * s).T @ b.sum(axis=1) - np.sum(s * (b @ s), axis=0))
-        grad[d + 1] = 0.5 * state.noise_variance * float(np.trace(a))
+        grad[d + 1] = 0.5 * state.hyperparams.noise_variance * float(np.trace(a))
         grad[d] = 0.5 * float(np.sum(np.multiply(a, k, out=a)))
         return grad
 

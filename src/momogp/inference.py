@@ -214,8 +214,7 @@ def _gaussian_logpdf_rows(y: np.ndarray, means: np.ndarray, covs: np.ndarray) ->
                 chol[i], _ = _jittered_cholesky(covs[i])
             except NumericalError as exc:
                 raise NumericalError(
-                    f"predictive covariance at row {i} is not positive definite: {exc}",
-                    jitter_levels=exc.jitter_levels,
+                    f"predictive covariance at row {i} is not positive definite: {exc}"
                 ) from None
     # forward substitution L v = y - mean over the P columns, all rows at once
     v = y - means

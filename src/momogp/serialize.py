@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .circuit import (
+    NODE_KINDS,
     Circuit,
     LeafNode,
     ProductXNode,
@@ -60,9 +61,6 @@ SCHEMA_VERSION = 3
 _MODEL_KIND = "momogp_model"
 
 
-_KINDS = {SumNode: "sum", ProductXNode: "product_x", ProductYNode: "product_y"}
-
-
 def _node_to_json(node) -> dict:
     if isinstance(node, LeafNode):
         hyper = node.leaf.hyperparams
@@ -75,9 +73,7 @@ def _node_to_json(node) -> dict:
                 "log_noise_variance": float(hyper.log_noise_variance),
             },
         }
-    if type(node) not in _KINDS:
-        raise SchemaError(f"cannot serialize node type {type(node).__name__}")
-    out = {"type": _KINDS[type(node)], "children": [int(c) for c in node.children]}
+    out = {"type": NODE_KINDS[type(node)], "children": [int(c) for c in node.children]}
     if isinstance(node, SumNode):
         out["log_weights"] = node.log_weights.tolist()
     elif isinstance(node, ProductXNode):
@@ -345,10 +341,17 @@ def save_model(
     write_json_atomic(path, model_to_dict(circuit, transforms, x, y, extras))
 
 
-def load_model(path) -> ModelBundle:
+def load_json(path):
+    """The JSON document at ``path``; SchemaError when the file holds no valid
+    JSON or nests deeper than the parser's recursion limit."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    return model_from_dict(obj)
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply to read") from None
+
+
+def load_model(path) -> ModelBundle:
+    return model_from_dict(load_json(path))

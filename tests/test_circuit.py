@@ -1,5 +1,7 @@
 """Structure construction and invariant checks."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ def test_same_seed_same_structure():
     cfg = StructureConfig(leaf_threshold=18, rng_seed=7)
     a = build(data, cfg)
     b = build(data, cfg)
-    assert len(a) == len(b)
+    assert len(a.nodes) == len(b.nodes)
     assert oracles.node_scopes(a) == oracles.node_scopes(b)
     for na, nb in zip(a.nodes, b.nodes):
         assert type(na) is type(nb)
@@ -160,6 +162,15 @@ def test_same_seed_same_structure():
         assert np.array_equal(na.region.upper, nb.region.upper)
         if isinstance(na, LeafNode):
             assert np.array_equal(na.leaf.row_idx, nb.leaf.row_idx)
+
+
+def test_circuits_and_nodes_compare_by_identity():
+    circuit = build(make_data(3), StructureConfig(leaf_threshold=18, rng_seed=7))
+    copied = copy.deepcopy(circuit)
+    assert circuit == circuit and copied != circuit
+    for i, node in enumerate(circuit.nodes):
+        assert node in circuit.nodes and circuit.nodes.index(node) == i
+        assert copied.nodes[i] not in circuit.nodes
 
 
 def test_different_seed_changes_output_partition():

@@ -15,6 +15,7 @@ from momogp.circuit import StructureConfig, count_induced_trees
 from momogp.data_pipeline import load_csv, synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
+from momogp.inference import predict_batch
 from momogp.metrics import mean_nlpd
 from momogp.serialize import load_model, model_from_dict
 from momogp.training import TrainConfig
@@ -93,6 +94,38 @@ def test_train_evaluate_predict_cycle(tmp_path, trained_model, capsys):
     with open(latent_path) as fh:
         latent = np.asarray(list(csv.reader(fh))[1:], dtype=float)
     assert np.all(latent[:, 2] <= values[:, 2] + 1e-12)
+
+
+def test_pca_model_evaluates_and_predicts(tmp_path, capsys):
+    csv_path = write_train_csv(tmp_path / "train.csv")
+    config = write_config(tmp_path / "cfg.json")
+    model = tmp_path / "m.json"
+    assert run(["train", csv_path, "--config", config, "--out", model, "--pca-dims", "1"]) == 0
+    bundle = load_model(model)
+    assert bundle.transforms.pca is not None and bundle.circuit.n_dims == 1
+    out = tmp_path / "eval.json"
+    assert run(["evaluate", model, csv_path, "--out", out]) == 0
+    assert json.loads(out.read_text())["n_test"] == 60
+    pred = tmp_path / "p.csv"
+    assert run(["predict", model, write_covariates(tmp_path, csv_path), "--out", pred]) == 0
+    values = np.asarray(list(csv.reader(pred.open()))[1:], dtype=float)
+    assert values.shape == (60, 5) and np.all(np.isfinite(values))
+
+
+def test_unstandardized_model_predicts_in_model_units(tmp_path):
+    csv_path = write_train_csv(tmp_path / "train.csv")
+    config = write_config(tmp_path / "cfg.json")
+    model = tmp_path / "m.json"
+    assert run(["train", csv_path, "--config", config, "--out", model, "--no-standardize"]) == 0
+    bundle = load_model(model)
+    assert bundle.transforms.standardization is None
+    covars = write_covariates(tmp_path, csv_path)
+    pred = tmp_path / "p.csv"
+    assert run(["predict", model, covars, "--out", pred]) == 0
+    # no transform either way: the served means are the circuit's own
+    means, _ = predict_batch(bundle.circuit, load_csv(covars, 0).x)
+    served = np.asarray(list(csv.reader(pred.open()))[1:], dtype=float)[:, :2]
+    assert np.array_equal(served, means)
 
 
 def test_model_file_contents(trained_model):
@@ -216,6 +249,62 @@ def test_bad_csv_is_invalid(tmp_path, capsys):
     code = run(["train", bad, "--out", tmp_path / "m.json", "--n-outputs", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR invalid:")
+
+
+# a field one character past the csv module's default limit of 131,072
+LONG_FIELD_CSV = "x_0,x_1,y_0,y_1\n1,2,3,4\n" + "1" * 131_073 + ",2,3,4\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_csv_field_past_the_csv_limit_is_invalid(tmp_path, trained_model, capsys, command):
+    model, _, config = trained_model
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text(LONG_FIELD_CSV)
+    argv = {
+        "train": ["train", long_csv, "--config", config, "--out", tmp_path / "m2.json"],
+        "evaluate": ["evaluate", model, long_csv, "--out", tmp_path / "e.json"],
+        "predict": ["predict", model, long_csv, "--out", tmp_path / "p.csv"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid: row 3:") and "field limit" in err
+    assert len(err.splitlines()) == 1, err
+
+
+NESTED_JSON = "[" * 200_000 + "]" * 200_000  # deeper than the parser's recursion limit
+
+
+def test_deeply_nested_model_file_is_invalid(tmp_path, trained_model, capsys):
+    _, csv_path, _ = trained_model
+    model = tmp_path / "nested.json"
+    model.write_text(NESTED_JSON)
+    capsys.readouterr()
+    covars = write_covariates(tmp_path, csv_path)
+    assert run(["predict", model, covars, "--out", tmp_path / "p.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "config root must be an object"),
+        ('{"schema_version": 2}', "unsupported config schema_version 2"),
+        (NESTED_JSON, "nested too deeply"),
+    ],
+    ids=["not-json", "root-not-object", "other-schema-version", "nested-too-deeply"],
+)
+def test_unreadable_config_file_is_invalid(tmp_path, capsys, text, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    csv_path = write_train_csv(tmp_path / "train.csv", n=20)
+    code = run(["train", csv_path, "--config", config, "--out", tmp_path / "m.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid:") and message in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_unknown_config_key_is_invalid(tmp_path, capsys):

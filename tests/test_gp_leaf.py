@@ -1,6 +1,9 @@
 """Kernel and single-output GP expert tests."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -115,6 +118,33 @@ def test_hyperparams_reject_non_finite():
         KernelHyperparams([0.0], math.inf, 0.0)
 
 
+def test_hyperparams_are_frozen_values():
+    given = np.array([0.3, -0.5])
+    hyper = KernelHyperparams(given, 0.2, -1.0)
+    given[0] = 9.0  # the value keeps its own copy
+    assert hyper.log_lengthscales.tolist() == [0.3, -0.5]
+    for name in ("log_lengthscales", "log_signal_variance", "log_noise_variance",
+                 "lengthscales", "signal_variance", "noise_variance"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(hyper, name, getattr(hyper, name))
+    for vector in (hyper.log_lengthscales, hyper.lengthscales):
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+    # copies are read-only values too
+    for copied in (copy.deepcopy(hyper), pickle.loads(pickle.dumps(hyper))):
+        with pytest.raises(ValueError, match="read-only"):
+            copied.lengthscales[0] = 1.0
+        assert np.array_equal(copied.to_vector(), hyper.to_vector())
+
+
+def test_hyperparams_compute_their_variances_once():
+    hyper = KernelHyperparams([0.3, 800.0], math.log(1.7), 710.0)
+    assert hyper.lengthscales.tolist() == [math.exp(0.3), math.inf]
+    assert hyper.signal_variance == math.exp(math.log(1.7))
+    assert hyper.noise_variance == math.inf
+    assert hyper.lengthscales is hyper.lengthscales
+
+
 # ------------------------------------------------------------------ fitting
 
 
@@ -199,9 +229,8 @@ def test_factor_is_lower_triangular_with_zero_upper_triangle():
 
 @pytest.mark.parametrize("c", [-np.eye(3), np.full((3, 3), np.nan)], ids=["negative", "nan"])
 def test_unfactorable_matrix_lists_every_jitter_level(c):
-    with pytest.raises(NumericalError, match=re.escape(str(list(JITTER_LEVELS)))) as info:
+    with pytest.raises(NumericalError, match=re.escape(str(list(JITTER_LEVELS)))):
         _jittered_cholesky(c)
-    assert info.value.jitter_levels == JITTER_LEVELS
 
 
 def test_no_jitter_on_well_conditioned_system():
@@ -209,6 +238,17 @@ def test_no_jitter_on_well_conditioned_system():
     leaf = random_leaf(rng)
     assert leaf.jitter == 0.0
     assert JITTER_LEVELS[0] == 0.0
+
+
+def test_leaf_takes_data_and_hyperparameters_only():
+    # the fit's outputs are set by fit alone; a leaf is an identity
+    leaf = GpLeaf(0, [[0.0]], [1.0], unit_hyper(1), np.array([3]))
+    assert (leaf.chol_factor, leaf.alpha, leaf.cached_mll, leaf.jitter) == (None, None, None, 0.0)
+    for name in ("chol_factor", "alpha", "cached_mll", "jitter"):
+        with pytest.raises(TypeError):
+            GpLeaf(0, [[0.0]], [1.0], unit_hyper(1), **{name: None})
+    twin = GpLeaf(0, [[0.0]], [1.0], leaf.hyperparams, np.array([3]))
+    assert leaf == leaf and leaf != twin and [twin, leaf].index(leaf) == 1
 
 
 def test_not_fitted_guards():

@@ -55,7 +55,7 @@ def test_roundtrip_preserves_structure_and_predictions():
     doc = model_to_dict(circuit, transforms, data.x, data.y, extras={"note": 7})
     bundle = model_from_dict(json.loads(dumps_canonical(doc)))
     assert validate(bundle.circuit) == []
-    assert len(bundle.circuit) == len(circuit)
+    assert len(bundle.circuit.nodes) == len(circuit.nodes)
     assert bundle.circuit.root == circuit.root
     assert bundle.circuit.config == circuit.config
     assert bundle.extras == {"note": 7}

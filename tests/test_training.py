@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momogp.circuit import StructureConfig, SumNode, build
-from momogp.data_pipeline import Dataset
+from momogp.data_pipeline import Dataset, standardize, synth_multioutput
 from momogp.gp_leaf import GpLeaf
 from momogp.serialize import save_model
 from momogp.training import TrainConfig, _initial_draw, train
@@ -210,3 +210,25 @@ def test_report_to_dict_keys():
     jitters = [node.leaf.jitter for _, node in circuit.leaves()]
     assert report.jittered_leaves == len(jitters) == report.leaf_count
     assert report.max_jitter == max(jitters) > 0.0
+
+
+def test_best_snapshot_is_restored_by_a_refit(tmp_path):
+    # steps this large overshoot after epoch 2, so the last epoch is not the best
+    work, _ = standardize(synth_multioutput(200, 2, 2, seed=0))
+
+    def trained(max_epochs):
+        circuit = build(work, StructureConfig(leaf_threshold=60))
+        return train(circuit, work, TrainConfig(learning_rate=3.0, max_epochs=max_epochs))
+
+    circuit, report = trained(8)
+    totals = report.epoch_total_mll
+    assert report.epochs_run == 8 and int(np.argmax(totals)) + 1 == 2
+    assert report.final_total_mll == max(report.initial_total_mll, *totals) > totals[-1]
+    assert report.wall_time["refit"] > 0
+    # the leaves hold the best epoch's fit, not the last one's
+    assert np.sum([node.leaf.cached_mll for _, node in circuit.leaves()]) == report.final_total_mll
+    # and the model is the one that stopping at the best epoch writes
+    paths = tmp_path / "restored.json", tmp_path / "stopped.json"
+    for path, (fitted, _) in zip(paths, ((circuit, report), trained(2))):
+        save_model(path, fitted, None, work.x, work.y)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
