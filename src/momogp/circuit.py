@@ -148,7 +148,7 @@ def _cell_of(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The cell index of each value among the cells that the sorted ``edges``
     cut. Cells are half-open, so a value equal to an edge goes right, and
     anything at or beyond the last edge goes to the last cell."""
-    return np.searchsorted(edges, values, side="right")
+    return edges.searchsorted(values, side="right")
 
 
 def _rows_inside(regions: list[Region], x: np.ndarray) -> list[np.ndarray]:

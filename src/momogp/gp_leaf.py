@@ -304,7 +304,7 @@ class GpLeaf:
                 f"query rows must be 2-d with {self.n_dims} columns, got shape {x.shape}"
             )
         # fit proved the factor finite, so only the queries need the scan
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("query points must be finite")
         k_star = _matern32(
             _scaled(x, hyper.lengthscales), state.scaled_x, hyper.signal_variance
@@ -319,7 +319,7 @@ class GpLeaf:
         var = hyper.signal_variance - np.sum(v, axis=0)
         # tiny negative values are roundoff; anything larger is a real failure,
         # and so is NaN from a query so far away that its distance overflows
-        if not np.all(var >= -1e-8 * hyper.signal_variance):
+        if not (var >= -1e-8 * hyper.signal_variance).all():
             raise NumericalError(
                 f"posterior variance went negative or NaN ({float(var.min())})"
             )

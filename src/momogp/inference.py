@@ -15,12 +15,13 @@ Prediction and the exact density are one traversal, ``_fold``: a
 product multiplies its children's independent densities and a sum
 mixes them, so both walk the circuit the same way. A covariate split
 hands each cell's query rows to that child (``circuit._cell_of``), an
-output partition adds its children, and every leaf reached computes its
-GP posterior once. Only the leaf and sum steps differ. For the moments
-a leaf places its mean and variance in its output's slot and a sum
-collapses its children to one Gaussian with the law-of-total-(co)variance
-correction; for the exact density a leaf scores its output's Gaussian
-and a sum log-sum-exps its weighted children.
+output partition adds its children in place, and every leaf reached
+computes its GP posterior once. Only the leaf and sum steps differ. For
+the moments a leaf places its mean and variance in its output's slot and
+a sum adds its weighted children one by one into one Gaussian with the
+law-of-total-(co)variance correction; for the exact density a leaf
+scores its output's Gaussian and a sum log-sum-exps its weighted
+children. Served numbers keep the bits of earlier versions.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from .circuit import (
-    Circuit,
-    LeafNode,
-    ProductXNode,
-    ProductYNode,
-    SumNode,
-    _cell_of,
-)
+from .circuit import Circuit, LeafNode, ProductYNode, SumNode, _cell_of
 from .errors import NotFittedError, NumericalError
 from .gp_leaf import _LOG_2PI, _jittered_cholesky
 
@@ -70,16 +64,15 @@ def renormalize(circuit: Circuit) -> float:
 class _Fold:
     """One bottom-up evaluation of the circuit over the query rows ``x``.
 
-    Every node returns a tuple of arrays whose first axis runs over the
-    rows it was handed. A leaf maps its (B,) posterior means and variances
-    through ``at_leaf(node, rows, mean, var)``; a sum combines its
-    children's tuples with ``at_sum(node, parts)``. The rest is shared:
-    an output partition adds its children (independent factors), and a
-    covariate split hands each child the rows in its cell, skips empty
-    cells and scatters the results back. When all of a split's rows share
-    one cell, as a single-row request's always do, it hands them through
-    to that child and returns the child's result as it is, with no mask,
-    allocation or scatter.
+    Every node returns a tuple of fresh arrays, which its parent may
+    overwrite, whose first axis runs over the rows it was handed: a leaf
+    maps its (B,) posterior means and variances through
+    ``at_leaf(node, rows, mean, var)`` and a sum combines its children's
+    tuples with ``at_sum(node, parts)``. An output partition adds its
+    children into the first one's arrays, from +0.0 as Python's ``sum``
+    does (-0.0 + 0.0 is +0.0). A covariate split hands a single row, or
+    rows that share one cell, straight through to that child, and
+    otherwise scatters its populated cells' results back.
 
     Each leaf's posterior is computed once per pass: every parent of a
     shared leaf hands it the same rows in the same order, the query rows
@@ -106,7 +99,14 @@ class _Fold:
         if isinstance(node, SumNode):
             return self.at_sum(node, [self.visit(child, rows) for child in node.children])
         if isinstance(node, ProductYNode):
-            return tuple(map(sum, zip(*[self.visit(child, rows) for child in node.children])))
+            out, *rest = [self.visit(child, rows) for child in node.children]
+            for part in [(0.0,) * len(out)] + rest:  # from +0.0, as sum() starts
+                for o, a in zip(out, part):
+                    o += a
+            return out
+        if rows.size == 1:
+            cell = _cell_of(node.edges, self.x[rows[0], node.split_dim])
+            return self.visit(node.children[cell], rows)
         assignment = _cell_of(node.edges, self.x[rows, node.split_dim])
         if rows.size and (assignment == assignment[0]).all():
             # every row in one cell: that child's result is already in row order
@@ -128,7 +128,13 @@ class _Fold:
 def _fold(circuit: Circuit, x: np.ndarray, include_noise: bool, at_leaf, at_sum) -> tuple:
     """The root's result of one ``_Fold`` pass over every row of ``x``."""
     rows = np.arange(x.shape[0])
-    return _Fold(circuit, x, include_noise, at_leaf, at_sum).visit(circuit.root, rows)
+    try:
+        return _Fold(circuit, x, include_noise, at_leaf, at_sum).visit(circuit.root, rows)
+    except RecursionError:
+        depth: list[int] = []  # nodes on the longest path down from each node
+        for node in circuit.nodes:
+            depth.append(1 + max((depth[c] for c in getattr(node, "children", ())), default=0))
+        raise ValueError(f"the circuit is {max(depth)} nodes deep, too deep to serve") from None
 
 
 def _root_moments(
@@ -146,8 +152,7 @@ def _root_moments(
     p = circuit.n_outputs
 
     def at_leaf(node, rows, mean, var):
-        out_mean = np.zeros((rows.size, p))
-        out_cov = np.zeros((rows.size, p, p))
+        out_mean, out_cov = np.zeros((rows.size, p)), np.zeros((rows.size, p, p))
         idx = node.leaf.scope_output
         out_mean[:, idx] = mean
         out_cov[:, idx, idx] = var
@@ -155,19 +160,24 @@ def _root_moments(
 
     def at_sum(node, parts):
         weights = np.exp(node.log_weights)
-        stacked_means = np.stack([m for m, _ in parts])  # (K, B, P)
-        stacked_covs = np.stack([c for _, c in parts])  # (K, B, P, P)
-        mix_mean = np.einsum("k,kbp->bp", weights, stacked_means)
-        centered = stacked_means - mix_mean[None, :, :]
-        spread = np.einsum("kbp,kbq->kbpq", centered, centered)
-        mix_cov = np.einsum("k,kbpq->bpq", weights, stacked_covs + spread)
-        return mix_mean, mix_cov
+        if parts[0][0].size == 1 and len(parts) > 2:
+            # one row of one output: einsum sums 3+ children in its SIMD lanes' order
+            means, covs = (np.stack(a) for a in zip(*parts))
+            mean = np.einsum("k,kbp->bp", weights, means)
+            return mean, np.einsum("k,kbpq->bpq", weights, covs + (means - mean)[..., None] ** 2)
+        # otherwise einsum adds one child after another to zero; so do these loops
+        mean = np.zeros(parts[0][0].shape)
+        for w, (m, _) in zip(weights.tolist(), parts):
+            mean += m * w
+        cov = np.zeros(parts[0][1].shape)
+        for w, (m, c) in zip(weights.tolist(), parts):
+            d = m - mean
+            cov += w * (c + d[:, :, None] * d[:, None, :])
+        return mean, cov
 
     means, covs = _fold(circuit, x, include_noise, at_leaf, at_sum)
     if not cross_covariance:
-        diag = np.einsum("bpp->bp", covs)
-        covs = np.zeros_like(covs)
-        np.einsum("bpp->bp", covs)[...] = diag
+        covs[:, ~np.eye(p, dtype=bool)] = 0.0
     return means, covs
 
 
@@ -175,16 +185,13 @@ def _checked_inputs(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != circuit.n_dims:
         raise ValueError(f"x has shape {x.shape}, the circuit expects {circuit.n_dims} columns")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("query points must be finite")
     return x
 
 
 def predict_batch(
-    circuit: Circuit,
-    x: np.ndarray,
-    include_noise: bool = True,
-    cross_covariance: bool = True,
+    circuit: Circuit, x: np.ndarray, include_noise: bool = True, cross_covariance: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moment-matched predictive means (B,P) and covariances (B,P,P).
 
@@ -231,8 +238,7 @@ def _log_density_exact(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> np.nda
 
     Equal to enumerating every induced tree, weighting each tree's
     product of leaf densities by its posterior prior; one pass computes
-    the same quantity in linear time. A leaf scores its output's Gaussian
-    and a sum log-sum-exps its weighted children.
+    the same quantity in linear time.
     """
 
     def at_leaf(node, rows, mean, var):
@@ -248,12 +254,8 @@ def _log_density_exact(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> np.nda
 
 
 def log_predictive_density_batch(
-    circuit: Circuit,
-    x: np.ndarray,
-    y: np.ndarray,
-    mode: str = "moment_matched",
-    cross_covariance: bool = True,
-    tree_cap: int | None = None,
+    circuit: Circuit, x: np.ndarray, y: np.ndarray, mode: str = "moment_matched",
+    cross_covariance: bool = True, tree_cap: int | None = None,
 ) -> np.ndarray:
     """Log density of each observed target row under the predictive distribution.
 
@@ -268,9 +270,7 @@ def log_predictive_density_batch(
     x = _checked_inputs(circuit, x)
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape != (x.shape[0], circuit.n_outputs):
-        raise ValueError(
-            f"y must have shape ({x.shape[0]}, {circuit.n_outputs}), got {y.shape}"
-        )
+        raise ValueError(f"y must have shape ({x.shape[0]}, {circuit.n_outputs}), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     if mode == "moment_matched":

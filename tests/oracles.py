@@ -300,6 +300,57 @@ def density_recursion_oracle(circuit: Circuit, x: np.ndarray, y: np.ndarray) -> 
     return out
 
 
+def stacked_moments_reference(circuit: Circuit, x: np.ndarray, include_noise=True,
+                              cross_covariance=True):
+    """Predictive moments by the per-node steps of earlier versions, for bit
+    for bit comparison with ``predict_batch``.
+
+    A sum stacks its children's means and covariances and mixes them with
+    einsums; an output partition adds its children with Python's ``sum``,
+    which starts from 0 and so turns a -0.0 into +0.0; a covariate split
+    scatters each populated cell's result back, routing by ``in_region`` on
+    the builder's regions; a leaf gets the query rows inside its region in
+    ascending order and places its posterior in its output's slot.
+    """
+    x = np.asarray(x, dtype=float)
+    p = circuit.n_outputs
+
+    def rec(node_id, rows):
+        node = circuit.nodes[node_id]
+        if isinstance(node, LeafNode):
+            mean, var = node.leaf.posterior_batch(x[rows], include_noise)
+            out_mean = np.zeros((rows.size, p))
+            out_cov = np.zeros((rows.size, p, p))
+            out_mean[:, node.leaf.scope_output] = mean
+            out_cov[:, node.leaf.scope_output, node.leaf.scope_output] = var
+            return out_mean, out_cov
+        if isinstance(node, SumNode):
+            parts = [rec(c, rows) for c in node.children]
+            weights = np.exp(node.log_weights)
+            stacked_means = np.stack([m for m, _ in parts])
+            stacked_covs = np.stack([c for _, c in parts])
+            mix_mean = np.einsum("k,kbp->bp", weights, stacked_means)
+            centered = stacked_means - mix_mean[None, :, :]
+            spread = np.einsum("kbp,kbq->kbpq", centered, centered)
+            return mix_mean, np.einsum("k,kbpq->bpq", weights, stacked_covs + spread)
+        if isinstance(node, ProductYNode):
+            return tuple(map(sum, zip(*[rec(c, rows) for c in node.children])))
+        out_mean = np.empty((rows.size, p))
+        out_cov = np.empty((rows.size, p, p))
+        for child in node.children:
+            inside = in_region(circuit.nodes[child].region, x[rows])
+            if inside.any():
+                out_mean[inside], out_cov[inside] = rec(child, rows[inside])
+        return out_mean, out_cov
+
+    means, covs = rec(circuit.root, np.arange(x.shape[0]))
+    if not cross_covariance:
+        diag = np.einsum("bpp->bp", covs)
+        covs = np.zeros_like(covs)
+        np.einsum("bpp->bp", covs)[...] = diag
+    return means, covs
+
+
 # --------------------------------------------------------- random generators
 
 

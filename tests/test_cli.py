@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -11,13 +12,13 @@ import pytest
 
 import momogp.cli as cli
 import oracles
-from momogp.circuit import StructureConfig, count_induced_trees
+from momogp.circuit import ProductYNode, StructureConfig, count_induced_trees
 from momogp.data_pipeline import load_csv, synth_multioutput
 from momogp.errors import NumericalError
 from momogp.images import read_ppm, synthetic_image, write_ppm
 from momogp.inference import predict_batch
 from momogp.metrics import mean_nlpd
-from momogp.serialize import load_model, model_from_dict
+from momogp.serialize import load_model, model_from_dict, save_model
 from momogp.training import TrainConfig
 
 
@@ -284,6 +285,30 @@ def test_deeply_nested_model_file_is_invalid(tmp_path, trained_model, capsys):
     assert run(["predict", model, covars, "--out", tmp_path / "p.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR invalid:") and "nested too deeply" in err
+
+
+def test_model_too_deep_to_serve_is_invalid(tmp_path, capsys):
+    # a valid model 3,000 one-child output partitions deep, past the recursion limit
+    csv_path = write_train_csv(tmp_path / "train.csv", n=30, p=1)
+    config = write_config(tmp_path / "cfg.json", pipeline={"n_outputs": 1})
+    model = tmp_path / "model.json"
+    assert run(["train", csv_path, "--config", config, "--out", model]) == 0
+    bundle = load_model(str(model))
+    circuit = bundle.circuit
+    for _ in range(3000):
+        circuit.nodes.append(ProductYNode([circuit.root], circuit.nodes[circuit.root].region))
+        circuit.root = len(circuit.nodes) - 1
+    save_model(str(model), circuit, bundle.transforms, bundle.x, bundle.y)
+    covars = write_covariates(tmp_path, csv_path)
+    capsys.readouterr()
+    for argv in (
+        ["predict", model, covars, "--out", tmp_path / "p.csv"],
+        ["evaluate", model, csv_path, "--config", config, "--out", tmp_path / "e.json"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"ERROR invalid: the circuit is 30\d\d nodes deep", err), err
+        assert len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize(

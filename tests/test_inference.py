@@ -22,6 +22,7 @@ from momogp.data_pipeline import Dataset, synth_multioutput
 from momogp.errors import NotFittedError, NumericalError
 from momogp.gp_leaf import GpLeaf, KernelHyperparams
 from momogp.inference import (
+    NLPD_MODES,
     _gaussian_logpdf_rows,
     compute_evidence,
     log_predictive_density_batch,
@@ -241,6 +242,79 @@ def test_query_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         predict_batch(circuit, bad)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def wrapped_in_output_partition(circuit):
+    """The circuit with its root under one more output partition of one child."""
+    circuit.nodes.append(ProductYNode([circuit.root], circuit.nodes[circuit.root].region))
+    circuit.root = len(circuit.nodes) - 1
+    return circuit
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64])
+def test_moments_keep_the_bits_of_the_stacked_einsum_steps(batch):
+    rng = np.random.default_rng(50 + batch)
+    circuits = []
+    for trial in range(16):
+        circuit = oracles.random_circuit(rng)
+        renormalize(circuit)
+        circuits.append(wrapped_in_output_partition(circuit) if trial % 2 else circuit)
+    # leaf means of -0.0 under a one-child output partition and under a sum:
+    # both serve +0.0
+    zero = [LeafNode(StubLeaf(-0.0, 1.0), R1), LeafNode(StubLeaf(-0.0, 2.0), R1)]
+    zero_circuits = [
+        manual_circuit(zero[:1] + [ProductYNode([0], R1)], 1),
+        manual_circuit(zero + [SumNode([0, 1], np.log([0.5, 0.5]), R1)], 2),
+    ]
+    for circuit in circuits + zero_circuits:
+        xq = rng.normal(size=(batch, circuit.n_dims))
+        for noise in (True, False):
+            for cross in (True, False):
+                got = predict_batch(circuit, xq, include_noise=noise, cross_covariance=cross)
+                want = oracles.stacked_moments_reference(circuit, xq, noise, cross)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    for circuit in zero_circuits:
+        assert not np.signbit(predict_batch(circuit, np.zeros((batch, 1)))[0]).any()
+
+
+def test_serving_refuses_leaves_whose_hyperparams_changed_since_the_fit():
+    data = synth_multioutput(60, 2, 2, seed=9)
+    circuit = build(data, StructureConfig(leaf_threshold=15))
+    circuit, _ = train(circuit, data, TrainConfig(max_epochs=1))
+    leaf = next(circuit.leaves())[1].leaf
+    leaf.hyperparams = KernelHyperparams.from_vector(
+        leaf.hyperparams.to_vector() + 0.5, circuit.n_dims
+    )
+    # one of the stale leaf's own training rows reaches it, and so does the batch
+    for xq in (leaf.train_x[:1], data.x):
+        yq = np.zeros((xq.shape[0], circuit.n_outputs))
+        with pytest.raises(NotFittedError):
+            predict_batch(circuit, xq)
+        for mode in NLPD_MODES:
+            with pytest.raises(NotFittedError):
+                log_predictive_density_batch(circuit, xq, yq, mode=mode)
+
+
+def test_fold_past_the_recursion_limit_names_the_circuit_depth():
+    data = synth_multioutput(30, 2, 1, seed=0)
+    circuit = build(data, StructureConfig(leaf_threshold=15))
+    for _, node in circuit.leaves():
+        node.leaf.fit()
+    renormalize(circuit)
+    for _ in range(3000):
+        wrapped_in_output_partition(circuit)
+    xq, yq = data.x[:4], data.y[:4]
+    for serve in (
+        lambda: predict_batch(circuit, xq),
+        lambda: log_predictive_density_batch(circuit, xq, yq, mode="moment_matched"),
+        lambda: log_predictive_density_batch(circuit, xq, yq, mode="exact_mixture"),
+    ):
+        with pytest.raises(ValueError, match=r"the circuit is 30\d\d nodes deep"):
+            serve()
 
 
 # ------------------------------------------------------------------- routing
